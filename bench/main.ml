@@ -1457,7 +1457,14 @@ let corpus_bench ?(smoke = false) () =
   let tasks =
     if smoke then [ "gen:paper:1"; "gen:deep:1" ]
     else
-      [ "gen:paper:1"; "gen:paper:2"; "gen:wide:1"; "gen:deep:1"; "gen:large:1" ]
+      [
+        "gen:paper:1";
+        "gen:paper:2";
+        "gen:wide:1";
+        "gen:deep:1";
+        "gen:large:1";
+        "gen:stress:1";
+      ]
   in
   let jobs = Flow.default_jobs in
   let host_cpus = Domain.recommended_domain_count () in

@@ -227,14 +227,14 @@ let private_arrays_of program chain ~profile ~sets_of selected_cids =
         | Lp_ir.Ast.If _ | Lp_ir.Ast.While _ | Lp_ir.Ast.For _ -> false)
       false c.Cluster.stmts
   in
-  let sets =
+  let touched =
     List.filter_map
       (fun (c : Cluster.t) ->
-        if executes c then Some (c.cid, sets_of c.cid) else None)
+        if executes c then
+          let s = sets_of c.cid in
+          Some (c.cid, Dataflow.Sset.union s.Dataflow.use_arrays s.Dataflow.gen_arrays)
+        else None)
       chain
-  in
-  let touched s =
-    Dataflow.Sset.union s.Dataflow.use_arrays s.Dataflow.gen_arrays
   in
   let all_arrays =
     List.map (fun (a : Lp_ir.Ast.array_decl) -> a.aname) program.Lp_ir.Ast.arrays
@@ -243,11 +243,12 @@ let private_arrays_of program chain ~profile ~sets_of selected_cids =
     (fun name ->
       let touching =
         List.filter_map
-          (fun (cid, s) ->
-            if Dataflow.Sset.mem name (touched s) then Some cid else None)
-          sets
+          (fun (cid, arrays) ->
+            if Dataflow.Sset.mem name arrays then Some cid else None)
+          touched
       in
-      touching <> [] && List.for_all (fun cid -> List.mem cid selected_cids) touching)
+      touching <> []
+      && List.for_all (fun cid -> Hashtbl.mem selected_cids cid) touching)
     all_arrays
 
 let verify_or_fail ~what expected got =
@@ -401,36 +402,19 @@ let run ?(options = default_options) ?pool ?cancel ~name program =
               candidates;
         })
   in
-  let selected_cids =
-    List.map (fun c -> c.Candidate.cluster.Cluster.cid) chosen
-  in
   let { pack_cores = cores; pack_selected = selected; pack_tasks = tasks } =
     stage Cores (fun () ->
-  (* One gen/use computation per cluster, shared by the privacy
-     analysis, the live-out filtering and the task packaging below
-     (previously recomputed at every use site, O(clusters²) overall). *)
-  let dataflow_by_cid = Hashtbl.create (max 8 (List.length chain)) in
+  if chosen = [] then { pack_cores = []; pack_selected = []; pack_tasks = [] }
+  else
+  (* The gen/use sets and the later-use suffix come from the
+     pre-selection artifact: one dataflow analysis per program, shared
+     by the privacy analysis, the live-out filtering and the task
+     packaging below. *)
+  let sets_of cid = Preselect.cluster_sets pre cid in
+  let selected_cids = Hashtbl.create 16 in
   List.iter
-    (fun (c : Cluster.t) ->
-      Hashtbl.replace dataflow_by_cid c.Cluster.cid
-        (Dataflow.of_cluster program c))
-    chain;
-  let sets_of cid = Hashtbl.find dataflow_by_cid cid in
-  (* [suffix_use_scalars.(i)] = union of upward-exposed scalar uses over
-     clusters with cid >= i; cids are dense chain positions, so the
-     whole family of suffix unions is one reverse pass. *)
-  let n_clusters = List.length chain in
-  let suffix_use_scalars =
-    let a = Array.make (n_clusters + 1) Dataflow.Sset.empty in
-    List.iter
-      (fun (c : Cluster.t) ->
-        a.(c.Cluster.cid) <- (sets_of c.Cluster.cid).Dataflow.use_scalars)
-      chain;
-    for i = n_clusters - 1 downto 0 do
-      a.(i) <- Dataflow.Sset.union a.(i) a.(i + 1)
-    done;
-    a
-  in
+    (fun c -> Hashtbl.replace selected_cids c.Candidate.cluster.Cluster.cid ())
+    chosen;
   let privates = private_arrays_of program chain ~profile ~sets_of selected_cids in
   (* Group adjacent selected clusters into shared cores: one datapath
      serves the whole run, so functional units are bound once across
@@ -477,10 +461,6 @@ let run ?(options = default_options) ?pool ?cancel ~name program =
      the bus if some later cluster's upward-exposed uses include it —
      dead results stay in the core (checked end-to-end by the output
      verification below). *)
-  let suffix_uses cid =
-    if cid + 1 >= 0 && cid + 1 <= n_clusters then suffix_use_scalars.(cid + 1)
-    else Dataflow.Sset.empty
-  in
   let selected =
     List.map
       (fun (cand : Candidate.t) ->
@@ -508,7 +488,8 @@ let run ?(options = default_options) ?pool ?cancel ~name program =
           gen_scalars =
             Dataflow.Sset.elements
               (Dataflow.Sset.inter sets.Dataflow.gen_scalars
-                 (suffix_uses cand.Candidate.cluster.Cluster.cid));
+                 (Preselect.later_use_scalars pre
+                    cand.Candidate.cluster.Cluster.cid));
           private_arrays = cluster_privates;
           gate_energy_j;
           power_w;

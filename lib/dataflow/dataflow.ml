@@ -81,8 +81,7 @@ let func_summary p name =
 
 (* Upward-exposed-use / may-gen analysis over structured statements.
    [written] is the set of scalars definitely written so far. *)
-let of_stmts p stmts =
-  let summaries = func_summaries p in
+let of_stmts_with summaries stmts =
   let acc = ref empty in
   let use_scalar written v =
     if not (Sset.mem v written) then
@@ -154,10 +153,18 @@ let of_stmts p stmts =
   ignore (block Sset.empty stmts);
   !acc
 
+let of_stmts p stmts = of_stmts_with (func_summaries p) stmts
+
 let of_cluster p (c : Lp_cluster.Cluster.t) = of_stmts p c.stmts
 
+(* The call summaries are a whole-program fixpoint: compute them once
+   and walk every cluster with the same table, rather than once per
+   cluster through [of_cluster]. *)
 let of_chain p chain =
-  List.map (fun (c : Lp_cluster.Cluster.t) -> (c.cid, of_cluster p c)) chain
+  let summaries = func_summaries p in
+  List.map
+    (fun (c : Lp_cluster.Cluster.t) -> (c.cid, of_stmts_with summaries c.stmts))
+    chain
 
 let pp ppf s =
   let pp_set ppf set =

@@ -32,7 +32,11 @@ val of_cluster : Lp_ir.Ast.program -> Lp_cluster.Cluster.t -> sets
 
 val of_chain :
   Lp_ir.Ast.program -> Lp_cluster.Cluster.chain -> (int * sets) list
-(** Sets for every cluster of a chain, keyed by cluster id. *)
+(** Sets for every cluster of a chain, keyed by cluster id, in chain
+    order. Equal to {!of_cluster} on each cluster, but the call
+    summaries are computed once for the whole chain, so the cost is
+    linear in the chain's size rather than one whole-program fixpoint
+    per cluster. *)
 
 val func_summary : Lp_ir.Ast.program -> string -> Sset.t * Sset.t
 (** [func_summary p f] is [(arrays_read, arrays_written)] by [f],

@@ -18,10 +18,20 @@
     only the reference crosses; the element traffic is charged during
     execution by the memory-port model). Each transferred word is paid
     as one bus write (deposit) plus one bus read (download),
-    [E_bus read/write] of Fig. 3 step 5. *)
+    [E_bus read/write] of Fig. 3 step 5.
+
+    {b Cost model.} [gen[C_pred]] and [use[C_succ]] over a chain are a
+    prefix and a suffix union. {!create} computes every cluster's sets
+    (one call-summary fixpoint, see {!Lp_dataflow.Dataflow.of_chain}),
+    the prefix union of the gen fields and the suffix union of the use
+    fields once, in O(clusters) set unions. Each {!estimate} then costs
+    a constant number of set intersections, O(|set|), independent of
+    the chain length; {!cluster_sets}, {!later_use_scalars} and the
+    cluster lookup of {!dynamic_work} are array reads. *)
 
 type t
-(** Pre-computed gen/use context for one program + cluster chain. *)
+(** Pre-computed gen/use context for one program + cluster chain: the
+    per-cluster sets, indexed by cid, and their prefix/suffix unions. *)
 
 type estimate = {
   cid : int;
@@ -31,11 +41,19 @@ type estimate = {
 }
 
 val create : Lp_ir.Ast.program -> Lp_cluster.Cluster.chain -> t
+(** Raises [Invalid_argument] unless the chain's cids are its dense
+    positions [0, 1, ..., n-1], as {!Lp_cluster.Cluster.decompose}
+    assigns them. *)
 
 val chain : t -> Lp_cluster.Cluster.chain
 
 val cluster_sets : t -> int -> Lp_dataflow.Dataflow.sets
 (** gen/use sets of a cluster by id. *)
+
+val later_use_scalars : t -> int -> Lp_dataflow.Dataflow.Sset.t
+(** [later_use_scalars t cid] is the union of the upward-exposed scalar
+    uses of every cluster after [cid] in the chain — the scalars [cid]
+    generates that can still be read later (live-out filtering). *)
 
 val estimate : t -> in_asic:(int -> bool) -> int -> estimate
 (** [estimate t ~in_asic cid] runs the Fig. 3 algorithm for cluster

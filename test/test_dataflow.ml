@@ -84,18 +84,19 @@ let test_array_sets () =
   Alcotest.(check (list string)) "a read" [ "a" ] (elements s.Dataflow.use_arrays);
   Alcotest.(check (list string)) "b written" [ "b" ] (elements s.Dataflow.gen_arrays)
 
-let test_call_summary_transitive () =
-  let leaf =
+(* [mid] reaches the array [deep] only through [leaf]. *)
+let deep_funcs =
+  [
     func "leaf" ~params:[] ~locals:[ "t" ]
-      [ "t" := load "deep" (int 0); store "deep" (int 1) (var "t"); return (var "t") ]
-  in
-  let midf =
-    func "mid" ~params:[] ~locals:[] [ return (call "leaf" []) ]
-  in
+      [ "t" := load "deep" (int 0); store "deep" (int 1) (var "t"); return (var "t") ];
+    func "mid" ~params:[] ~locals:[] [ return (call "leaf" []) ];
+  ]
+
+let test_call_summary_transitive () =
   let p =
     mk
       ~arrays:[ array "deep" 4 ]
-      ~funcs:[ leaf; midf ]
+      ~funcs:deep_funcs
       ~locals:[ "x" ]
       [ "x" := call "mid" [] ]
   in
@@ -133,6 +134,56 @@ let test_of_chain_keys () =
   let keyed = Dataflow.of_chain p chain in
   Alcotest.(check (list int)) "keys are cids" [ 0; 1 ] (List.map fst keyed)
 
+(* [of_chain] computes the call summaries once for the whole chain;
+   [of_cluster] recomputes them per cluster. Both must agree on every
+   cluster of real programs, and of a chain whose clusters reach arrays
+   only through calls. *)
+let test_of_chain_matches_of_cluster () =
+  let calls =
+    mk
+      ~arrays:[ array "deep" 4; array "a" 4 ]
+      ~funcs:deep_funcs ~locals:[ "x"; "y" ]
+      [
+        "x" := int 1;
+        for_ "i" (int 0) (int 3) [ "x" := var "x" + call "mid" [] ];
+        store "a" (int 0) (var "x");
+        for_ "i" (int 0) (int 2) [ "y" := load "a" (var "i") + call "leaf" [] ];
+        print (var "y");
+      ]
+  in
+  let programs =
+    ("calls", calls)
+    :: List.map (fun (e : Lp_apps.Apps.entry) -> (e.name, e.build ())) Lp_apps.Apps.all
+    @ List.map
+        (fun spec ->
+          match Lp_apps.Apps.resolve spec with
+          | Ok e -> (spec, e.Lp_apps.Apps.build ())
+          | Error msg -> Alcotest.fail msg)
+        [ "gen:paper:1"; "gen:wide:1"; "gen:deep:1" ]
+  in
+  List.iter
+    (fun (name, p) ->
+      let chain = Lp_cluster.Cluster.decompose p in
+      let keyed = Dataflow.of_chain p chain in
+      Alcotest.(check (list int))
+        (name ^ " keys are cids")
+        (List.map (fun (c : Lp_cluster.Cluster.t) -> c.cid) chain)
+        (List.map fst keyed);
+      List.iter2
+        (fun (c : Lp_cluster.Cluster.t) (_, (got : Dataflow.sets)) ->
+          let want = Dataflow.of_cluster p c in
+          let field label f =
+            Alcotest.(check (list string))
+              (Printf.sprintf "%s c%d %s" name c.cid label)
+              (elements (f want)) (elements (f got))
+          in
+          field "use_scalars" (fun s -> s.Dataflow.use_scalars);
+          field "gen_scalars" (fun s -> s.Dataflow.gen_scalars);
+          field "use_arrays" (fun s -> s.Dataflow.use_arrays);
+          field "gen_arrays" (fun s -> s.Dataflow.gen_arrays))
+        chain keyed)
+    programs
+
 let test_union () =
   let a =
     { Dataflow.empty with Dataflow.use_scalars = Sset.singleton "x" }
@@ -165,6 +216,8 @@ let () =
       ( "api",
         [
           Alcotest.test_case "of_chain keys" `Quick test_of_chain_keys;
+          Alcotest.test_case "of_chain = of_cluster" `Quick
+            test_of_chain_matches_of_cluster;
           Alcotest.test_case "union" `Quick test_union;
         ] );
     ]

@@ -102,6 +102,42 @@ let jobs_levels_agree () =
     (Memo.initial_fingerprint ~config:Lp_system.System.default_config
        r2.Flow.program)
 
+(* --- scale guard ------------------------------------------------- *)
+
+(* The largest class through the whole flow, Verify included, with
+   [n_max] = the decomposed cluster count so pre-selection keeps every
+   candidate. The
+   flow's per-cluster analyses are linear in the chain (one dataflow
+   artifact per program, prefix/suffix unions for Fig. 3), which puts
+   this run at about a second; a quadratic stage puts it at minutes.
+   The wall-clock ceiling is a 30x margin over the linear flow, so it
+   only trips on a complexity regression, not on a slow host. *)
+let stress_flows_linear () =
+  let spec = Option.get (Gen.find_class "stress") in
+  let program = Gen.generate spec ~seed:1 in
+  let n_clusters = List.length (Lp_cluster.Cluster.decompose program) in
+  let options =
+    {
+      Flow.default_options with
+      Flow.n_max = n_clusters;
+      jobs = 1;
+      verify_outputs = true;
+    }
+  in
+  Memo.reset ();
+  let t0 = Unix.gettimeofday () in
+  let r = Flow.run ~options ~name:"gen:stress:1" program in
+  let dt = Unix.gettimeofday () -. t0 in
+  Memo.reset ();
+  Alcotest.(check bool)
+    "at least the class's cluster count" true
+    (List.length r.Flow.chain >= spec.Gen.clusters);
+  Alcotest.(check bool)
+    "pre-selection kept candidates" true (r.Flow.preselected <> []);
+  Alcotest.(check bool)
+    (Printf.sprintf "gen:stress:1 flowed in %.1f s (ceiling 30 s)" dt)
+    true (dt < 30.0)
+
 (* --- golden pins -------------------------------------------------- *)
 
 let golden_pins () =
@@ -165,6 +201,7 @@ let () =
           Alcotest.test_case "-j levels agree" `Quick jobs_levels_agree;
           Alcotest.test_case "golden corpus fingerprints" `Quick golden_pins;
         ] );
+      ("scale", [ Alcotest.test_case "gen:stress:1 full flow" `Quick stress_flows_linear ]);
       ( "names",
         [
           Alcotest.test_case "parse_name" `Quick parse_names;

@@ -140,6 +140,179 @@ let test_dynamic_work_scales_with_profile () =
   Alcotest.(check bool) "loop work > tail work" true
     (w1 > Preselect.dynamic_work t ~profile 2)
 
+(* --- differential: the prefix/suffix implementation against the
+   list-based Fig. 3 reference ---------------------------------------
+
+   The reference below is the straightforward reading of Fig. 3: sets
+   computed per cluster with [Dataflow.of_cluster] (its own call
+   summary fixpoint each time), predecessors and successors re-unioned
+   through [List.assoc] on every call. It is quadratic in the chain
+   length and lives here only as an oracle. *)
+
+module Dataflow = Lp_dataflow.Dataflow
+module Sset = Dataflow.Sset
+
+module Reference = struct
+  type t = { chain : Cluster.chain; sets : (int * Dataflow.sets) list }
+
+  let create p chain =
+    {
+      chain;
+      sets = List.map (fun (c : Cluster.t) -> (c.cid, Dataflow.of_cluster p c)) chain;
+    }
+
+  let cluster_sets t cid = List.assoc cid t.sets
+
+  let handover_words gen_side use_side =
+    Sset.cardinal
+      (Sset.inter gen_side.Dataflow.gen_scalars use_side.Dataflow.use_scalars)
+    + 2
+      * Sset.cardinal
+          (Sset.inter gen_side.Dataflow.gen_arrays use_side.Dataflow.use_arrays)
+
+  let union_sets t cids =
+    List.fold_left
+      (fun acc cid -> Dataflow.union acc (cluster_sets t cid))
+      Dataflow.empty cids
+
+  let estimate t ~in_asic cid =
+    let ids = List.map (fun (c : Cluster.t) -> c.cid) t.chain in
+    let self = cluster_sets t cid in
+    let preds = List.filter (fun i -> i < cid) ids in
+    let succs = List.filter (fun i -> i > cid) ids in
+    let n_up = handover_words (union_sets t preds) self in
+    let n_up =
+      if List.mem (cid - 1) ids && in_asic (cid - 1) then
+        n_up - handover_words (cluster_sets t (cid - 1)) self
+      else n_up
+    in
+    let n_asic = handover_words self (union_sets t succs) in
+    let n_asic =
+      if List.mem (cid + 1) ids && in_asic (cid + 1) then
+        n_asic - handover_words self (cluster_sets t (cid + 1))
+      else n_asic
+    in
+    let n_up = max 0 n_up and n_asic = max 0 n_asic in
+    let per_word =
+      Lp_tech.Cmos6.bus_write_energy_j +. Lp_tech.Cmos6.bus_read_energy_j
+    in
+    {
+      Preselect.cid;
+      n_up_to_mem = n_up;
+      n_asic_to_mem = n_asic;
+      energy_j = float_of_int (n_up + n_asic) *. per_word;
+    }
+
+  let dynamic_work t ~profile cid =
+    let c = List.find (fun (c : Cluster.t) -> c.cid = cid) t.chain in
+    List.fold_left
+      (fun acc (ops, times) -> acc + (List.length ops * times))
+      0
+      (Cluster.dynamic_ops c ~profile)
+
+  let pre_select t ~profile ~n_max =
+    let no_asic _ = false in
+    let candidates =
+      List.filter
+        (fun (c : Cluster.t) ->
+          Cluster.asic_candidate c && dynamic_work t ~profile c.cid > 0)
+        t.chain
+    in
+    let scored =
+      List.map
+        (fun (c : Cluster.t) ->
+          let e = estimate t ~in_asic:no_asic c.cid in
+          let work = dynamic_work t ~profile c.cid in
+          (c, e, e.Preselect.energy_j /. float_of_int work, work))
+        candidates
+    in
+    List.sort
+      (fun (_, _, s1, w1) (_, _, s2, w2) ->
+        match compare s1 s2 with 0 -> compare w2 w1 | c -> c)
+      scored
+    |> List.filteri (fun i _ -> i < n_max)
+    |> List.map (fun (c, e, _, _) -> (c, e))
+end
+
+let differential_programs () =
+  List.map (fun (e : Lp_apps.Apps.entry) -> (e.name, e.build ())) Lp_apps.Apps.all
+  @ List.map
+      (fun spec ->
+        match Lp_apps.Apps.resolve spec with
+        | Ok e -> (spec, e.Lp_apps.Apps.build ())
+        | Error msg -> Alcotest.fail msg)
+      [ "gen:paper:1"; "gen:wide:1"; "gen:deep:1" ]
+
+let check_estimate what (want : Preselect.estimate) (got : Preselect.estimate) =
+  Alcotest.(check int) (what ^ " cid") want.cid got.cid;
+  Alcotest.(check int) (what ^ " n_up_to_mem") want.n_up_to_mem got.n_up_to_mem;
+  Alcotest.(check int)
+    (what ^ " n_asic_to_mem") want.n_asic_to_mem got.n_asic_to_mem;
+  (* Exact: both sides multiply the same word count by the same
+     per-word energy. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%s energy_j %h = %h" what want.energy_j got.energy_j)
+    true
+    (Float.equal want.energy_j got.energy_j)
+
+let test_estimate_matches_reference () =
+  List.iter
+    (fun (name, p) ->
+      let chain = Cluster.decompose p in
+      let t = Preselect.create p chain in
+      let r = Reference.create p chain in
+      let n = List.length chain in
+      let rng = Random.State.make [| 0x5e1ec7; n |] in
+      let random = Array.init n (fun _ -> Random.State.bool rng) in
+      List.iter
+        (fun (mask_name, in_asic) ->
+          List.iter
+            (fun (c : Cluster.t) ->
+              let what = Printf.sprintf "%s c%d mask=%s" name c.cid mask_name in
+              check_estimate what
+                (Reference.estimate r ~in_asic c.cid)
+                (Preselect.estimate t ~in_asic c.cid))
+            chain)
+        [
+          ("none", fun _ -> false);
+          ("all", fun _ -> true);
+          ("random", fun cid -> random.(cid));
+        ])
+    (differential_programs ())
+
+let test_pre_select_matches_reference () =
+  List.iter
+    (fun (name, p) ->
+      let chain = Cluster.decompose p in
+      let t = Preselect.create p chain in
+      let r = Reference.create p chain in
+      let profile = profile_of p in
+      List.iter
+        (fun n_max ->
+          let got = Preselect.pre_select t ~profile ~n_max in
+          let want = Reference.pre_select r ~profile ~n_max in
+          let what = Printf.sprintf "%s n_max=%d" name n_max in
+          Alcotest.(check (list int))
+            (what ^ " order")
+            (List.map (fun ((c : Cluster.t), _) -> c.cid) want)
+            (List.map (fun ((c : Cluster.t), _) -> c.cid) got);
+          List.iter2
+            (fun (_, e_want) (_, e_got) -> check_estimate what e_want e_got)
+            want got)
+        [ 1; 8; List.length chain ])
+    (differential_programs ())
+
+let test_create_rejects_sparse_cids () =
+  let p = pipeline () in
+  let chain =
+    List.map
+      (fun (c : Cluster.t) -> if c.cid = 2 then { c with cid = 5 } else c)
+      (Cluster.decompose p)
+  in
+  match Preselect.create p chain with
+  | _ -> Alcotest.fail "non-dense cids were accepted"
+  | exception Invalid_argument _ -> ()
+
 let () =
   Alcotest.run "lp_preselect"
     [
@@ -157,5 +330,14 @@ let () =
           Alcotest.test_case "drops dead and call clusters" `Quick
             test_pre_select_drops_dead_and_calls;
           Alcotest.test_case "dynamic work" `Quick test_dynamic_work_scales_with_profile;
+        ] );
+      ( "differential",
+        [
+          Alcotest.test_case "estimate = list-based Fig. 3" `Quick
+            test_estimate_matches_reference;
+          Alcotest.test_case "pre_select = list-based order" `Quick
+            test_pre_select_matches_reference;
+          Alcotest.test_case "create rejects non-dense cids" `Quick
+            test_create_rejects_sparse_cids;
         ] );
     ]
