@@ -608,14 +608,16 @@ type sim_metrics = {
   sm_blocks : int;  (** static superops compiled for it *)
   sm_block_entries : int;  (** dynamic superop executions *)
   sm_iss_mips : float;
+  sm_interp_msteps : float;  (** IR interpreter, mpg profile run *)
   sm_cold_ms : float;  (** initial ("I") system sim, memo-cold *)
   sm_warm_ms : float;  (** same, through the Memo initial-report tier *)
 }
 
-(* Raw co-simulation speed: ISS throughput (no memory system, null
-   hooks) on the long-trace micro-workload, and the latency of the
-   initial ("I") system simulation of digs16 cold vs warm through the
-   Memo initial-report tier. *)
+(* Raw simulation speed: the IR interpreter's throughput on the mpg
+   profile run (the ladder's first rung), ISS throughput (no memory
+   system, null hooks) on the long-trace micro-workload, and the latency
+   of the initial ("I") system simulation of digs16 cold vs warm through
+   the Memo initial-report tier. *)
 let sim_metrics () =
   let workload = iss_workload () in
   let prog, layout = Lp_compiler.Compiler.compile workload in
@@ -630,12 +632,19 @@ let sim_metrics () =
   let r = Lp_iss.Iss.result m in
   let blocks, entries = Lp_iss.Iss.block_stats m in
   let reps = 9 in
+  (* One ISS run takes about 0.15 ms, so nine back-to-back samples span
+     under 2 ms and a single burst of load from elsewhere on the host
+     can cover all of them; 51 samples spread the median over ~8 ms. *)
+  let iss_reps = 51 in
   let samples =
-    List.init reps (fun _ -> snd (wall (fun () -> ignore (iss_run ()))))
+    List.init iss_reps (fun _ -> snd (wall (fun () -> ignore (iss_run ()))))
     |> List.sort compare
   in
-  let dt = List.nth samples (reps / 2) in
+  let dt = List.nth samples (iss_reps / 2) in
   let iss_mips = float_of_int r.Lp_iss.Iss.instr_count /. dt /. 1e6 in
+  let mpg = Lp_apps.Mpg.program () in
+  let steps = (Lp_ir.Interp.run mpg).Lp_ir.Interp.steps in
+  let interp_ms = time_stage ~reps (fun () -> Lp_ir.Interp.run mpg) in
   let digs_small = Lp_apps.Digs.program ~width:16 () in
   let config = System.default_config in
   let key = Memo.initial_fingerprint ~config digs_small in
@@ -657,6 +666,7 @@ let sim_metrics () =
     sm_blocks = blocks;
     sm_block_entries = entries;
     sm_iss_mips = iss_mips;
+    sm_interp_msteps = float_of_int steps /. interp_ms /. 1e3;
     sm_cold_ms = 1e3 *. cold_s;
     sm_warm_ms = warm_ms;
   }
@@ -701,10 +711,11 @@ let rec speed ?(smoke = false) () =
       max_pairs Flow.pool_threshold;
   let sm = sim_metrics () in
   Printf.printf
-    "  co-sim: ISS %.1f MIPS on %s (%d instrs, %d superops, %d entries);\n\
+    "  IR interpreter: %.1f Msteps/s on the mpg profile run\n\
+    \  co-sim: ISS %.1f MIPS on %s (%d instrs, %d superops, %d entries);\n\
     \  initial sim cold %.3f ms, memo-warm %.3f ms\n"
-    sm.sm_iss_mips sm.sm_workload sm.sm_instrs sm.sm_blocks sm.sm_block_entries
-    sm.sm_cold_ms sm.sm_warm_ms;
+    sm.sm_interp_msteps sm.sm_iss_mips sm.sm_workload sm.sm_instrs sm.sm_blocks
+    sm.sm_block_entries sm.sm_cold_ms sm.sm_warm_ms;
   let seq_s, par_s, warm_s, seq_stats, warm_rate = flow_timing () in
   Printf.printf
     "  full suite: sequential %.3fs, parallel (jobs=%d) %.3fs (%.2fx), \
@@ -761,6 +772,7 @@ let rec speed ?(smoke = false) () =
         ( "sim",
           j_obj
             [
+              ("interp_msteps", j_float sm.sm_interp_msteps);
               ("iss_mips", j_float sm.sm_iss_mips);
               ("iss_workload", j_str sm.sm_workload);
               ("iss_trace_instrs", string_of_int sm.sm_instrs);

@@ -23,6 +23,7 @@ let metrics_of_doc doc =
   let m name v = Option.map (fun v -> (name, v)) v in
   List.filter_map Fun.id
     [
+      m "interp_msteps" (path doc [ "sim" ] "interp_msteps");
       m "iss_mips" (path doc [ "sim" ] "iss_mips");
       m "system_sim_ms" (stage_ms doc "system-sim");
       m "full_flow_seq_ms" (stage_ms doc "full-flow-seq");

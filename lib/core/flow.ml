@@ -282,12 +282,12 @@ let run ?(options = default_options) ?pool ?cancel ~name program =
     | None -> ()
   in
   (* The initial ("I") simulation is pure in (program, config) and is
-     memoized whole; on a cold key it is launched first so it overlaps
-     with profiling, decomposition and pre-selection — on the injected
-     pool when one is given, else on a scratch domain when [jobs]
-     allows. The [Simulate_initial] stage below therefore measures the
-     caller's {e wait} for the overlapped simulation, not necessarily
-     its full duration. *)
+     memoized whole. On a cold key with an injected pool it is submitted
+     first, so it overlaps with profiling, decomposition and
+     pre-selection, and the [Simulate_initial] stage below measures the
+     caller's {e wait} for it. Without a pool it runs inline in that
+     stage: profiling is too short for a scratch domain to repay its
+     spawn, and each spawn grew the process's peak RSS. *)
   let init_key = Memo.initial_fingerprint ~config:options.config program in
   let initial_cached = Memo.find_initial init_key in
   let initial_sim () = System.run ~config:options.config program in
@@ -295,9 +295,7 @@ let run ?(options = default_options) ?pool ?cancel ~name program =
     match (initial_cached, pool) with
     | Some r, _ -> `Done r
     | None, Some pool -> `Future (Lp_parallel.Pool.submit pool initial_sim)
-    | None, None ->
-        if options.jobs > 1 then `Domain (Domain.spawn initial_sim)
-        else `Inline
+    | None, None -> `Inline
   in
   (* Steps 1-2: profile and decompose. *)
   let { prof_counts = profile; prof_outputs = reference_outputs } =
@@ -328,7 +326,6 @@ let run ?(options = default_options) ?pool ?cancel ~name program =
           match initial_job with
           | `Done r -> r
           | `Future f -> Lp_parallel.Pool.await f
-          | `Domain d -> Domain.join d
           | `Inline -> initial_sim ()
         in
         if initial_cached = None then Memo.store_initial init_key initial;

@@ -38,8 +38,9 @@ type options = {
           (cluster × resource set) evaluations run on a
           {!Lp_parallel.Pool} of [jobs - 1] worker domains plus the
           caller. [1] = fully sequential. Results are deterministic —
-          identical to the sequential order — for any value. Default:
-          {!default_jobs}. *)
+          identical to the sequential order — for any value. It does not
+          move the initial simulation off the caller: only an injected
+          [?pool] overlaps it with profiling. Default: {!default_jobs}. *)
   pool_threshold : int;
       (** minimum (cluster × resource set) fan-out for which [run]
           creates its own worker pool when no [?pool] is injected;
@@ -176,8 +177,10 @@ val run :
     when [options.jobs > 1] {e and} the fan-out is large enough to
     repay pool construction (see [pool_threshold]); small design
     spaces run sequentially. The initial ("I") simulation is memoized
-    via {!Memo.find_initial} keyed on program × system config, and on
-    a cold key runs concurrently with profiling and pre-selection.
+    via {!Memo.find_initial} keyed on program × system config. On a
+    cold key it runs on the injected pool concurrently with profiling
+    and pre-selection; without [?pool] it runs inline, after
+    pre-selection.
 
     With [?cancel], the token is polled at every stage boundary and
     per candidate evaluation (per pool chunk when parallel); a fired

@@ -7,7 +7,23 @@
 
     It doubles as the paper's profiler: the result carries [#ex_times]
     (how often each statement executed — Fig. 4, footnote 14 "we obtain
-    #ex_times through profiling") and per-array access counts. *)
+    #ex_times through profiling") and per-array access counts.
+
+    {b Compile once, then run.} Each {!run} first resolves every name of
+    the program once: it compiles each statement and expression into a
+    closure over slot-indexed state, then runs the entry function's
+    closure. Each function's scalars get frame slots (parameters, then
+    locals, then any other assigned or [For] scalar), and each activation
+    is one [int array]. Each [Load]/[Store] holds its array and its access
+    counter, and each [Call] holds its callee. No step hashes a name. The
+    interpreter shares no code with the compiler or the instruction-set
+    simulator, so it stays an independent reference for them.
+
+    {b Undeclared scalars.} A scalar that is neither a parameter nor a
+    local (a [For] index, or a scalar of a program {!Validate} never
+    checked, such as the partitioned system's ASIC mini programs) is
+    unbound in each activation until it is first written. Reading it
+    before then raises [Runtime_error "unbound scalar ..."]. *)
 
 type result = {
   outputs : int list;  (** values printed, in order — the observables *)

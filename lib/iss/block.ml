@@ -306,6 +306,15 @@ let vr r =
     invalid_arg "Iss: register index out of range"
   else r
 
+(* [Lp_ir.Word.norm], repeated here so that it inlines into every
+   superop closure below: a build that compiles modules separately
+   ([-opaque], as dune's dev profile does) cannot inline a call into
+   [Word], and that call cost about a fifth of an instruction's time.
+   The arithmetic closures spell out [Word]'s definitions on top of it;
+   the per-instruction engine above still calls [Word], and the
+   block-vs-stepwise differential test holds the two equal. *)
+let[@inline] w32 x = ((x land 0xFFFFFFFF) lxor 0x80000000) - 0x80000000
+
 (* Compile one straight-line instruction at [pc] into a closure that
    performs its architectural effect and tail-calls [next]. Register
    indices are validated here, once, so the closures use unsafe array
@@ -322,19 +331,19 @@ let chain_op t pc instr (next : t -> int) : t -> int =
   | Isa.Add (d, a, b) ->
       let d = vr d and a = vr a and b = vr b in
       if d = 0 then next
-      else fun t -> Array.unsafe_set regs d (Word.add (Array.unsafe_get regs a) (Array.unsafe_get regs b)); next t
+      else fun t -> Array.unsafe_set regs d (w32 (Array.unsafe_get regs a + Array.unsafe_get regs b)); next t
   | Isa.Addi (d, a, n) ->
       let d = vr d and a = vr a in
       if d = 0 then next
-      else fun t -> Array.unsafe_set regs d (Word.add (Array.unsafe_get regs a) n); next t
+      else fun t -> Array.unsafe_set regs d (w32 (Array.unsafe_get regs a + n)); next t
   | Isa.Sub (d, a, b) ->
       let d = vr d and a = vr a and b = vr b in
       if d = 0 then next
-      else fun t -> Array.unsafe_set regs d (Word.sub (Array.unsafe_get regs a) (Array.unsafe_get regs b)); next t
+      else fun t -> Array.unsafe_set regs d (w32 (Array.unsafe_get regs a - Array.unsafe_get regs b)); next t
   | Isa.Mul (d, a, b) ->
       let d = vr d and a = vr a and b = vr b in
       if d = 0 then next
-      else fun t -> Array.unsafe_set regs d (Word.mul (Array.unsafe_get regs a) (Array.unsafe_get regs b)); next t
+      else fun t -> Array.unsafe_set regs d (w32 (Array.unsafe_get regs a * Array.unsafe_get regs b)); next t
   | Isa.Div (d, a, b) ->
       let d = vr d and a = vr a and b = vr b in
       if d = 0 then (fun t ->
@@ -360,51 +369,51 @@ let chain_op t pc instr (next : t -> int) : t -> int =
   | Isa.And (d, a, b) ->
       let d = vr d and a = vr a and b = vr b in
       if d = 0 then next
-      else fun t -> Array.unsafe_set regs d (Word.logand (Array.unsafe_get regs a) (Array.unsafe_get regs b)); next t
+      else fun t -> Array.unsafe_set regs d (w32 (Array.unsafe_get regs a land Array.unsafe_get regs b)); next t
   | Isa.Or (d, a, b) ->
       let d = vr d and a = vr a and b = vr b in
       if d = 0 then next
-      else fun t -> Array.unsafe_set regs d (Word.logor (Array.unsafe_get regs a) (Array.unsafe_get regs b)); next t
+      else fun t -> Array.unsafe_set regs d (w32 (Array.unsafe_get regs a lor Array.unsafe_get regs b)); next t
   | Isa.Xor (d, a, b) ->
       let d = vr d and a = vr a and b = vr b in
       if d = 0 then next
-      else fun t -> Array.unsafe_set regs d (Word.logxor (Array.unsafe_get regs a) (Array.unsafe_get regs b)); next t
+      else fun t -> Array.unsafe_set regs d (w32 (Array.unsafe_get regs a lxor Array.unsafe_get regs b)); next t
   | Isa.Andi (d, a, n) ->
       let d = vr d and a = vr a in
       if d = 0 then next
-      else fun t -> Array.unsafe_set regs d (Word.logand (Array.unsafe_get regs a) n); next t
+      else fun t -> Array.unsafe_set regs d (w32 (Array.unsafe_get regs a land n)); next t
   | Isa.Ori (d, a, n) ->
       let d = vr d and a = vr a in
       if d = 0 then next
-      else fun t -> Array.unsafe_set regs d (Word.logor (Array.unsafe_get regs a) n); next t
+      else fun t -> Array.unsafe_set regs d (w32 (Array.unsafe_get regs a lor n)); next t
   | Isa.Xori (d, a, n) ->
       let d = vr d and a = vr a in
       if d = 0 then next
-      else fun t -> Array.unsafe_set regs d (Word.logxor (Array.unsafe_get regs a) n); next t
+      else fun t -> Array.unsafe_set regs d (w32 (Array.unsafe_get regs a lxor n)); next t
   | Isa.Sll (d, a, b) ->
       let d = vr d and a = vr a and b = vr b in
       if d = 0 then next
-      else fun t -> Array.unsafe_set regs d (Word.shl (Array.unsafe_get regs a) (Array.unsafe_get regs b)); next t
+      else fun t -> Array.unsafe_set regs d (w32 ((Array.unsafe_get regs a land 0xFFFFFFFF) lsl (Array.unsafe_get regs b land 31))); next t
   | Isa.Sra (d, a, b) ->
       let d = vr d and a = vr a and b = vr b in
       if d = 0 then next
-      else fun t -> Array.unsafe_set regs d (Word.shr (Array.unsafe_get regs a) (Array.unsafe_get regs b)); next t
+      else fun t -> Array.unsafe_set regs d (w32 (w32 (Array.unsafe_get regs a) asr (Array.unsafe_get regs b land 31))); next t
   | Isa.Srl (d, a, b) ->
       let d = vr d and a = vr a and b = vr b in
       if d = 0 then next
-      else fun t -> Array.unsafe_set regs d (Word.lshr (Array.unsafe_get regs a) (Array.unsafe_get regs b)); next t
+      else fun t -> Array.unsafe_set regs d (w32 ((Array.unsafe_get regs a land 0xFFFFFFFF) lsr (Array.unsafe_get regs b land 31))); next t
   | Isa.Slli (d, a, n) ->
-      let d = vr d and a = vr a in
+      let d = vr d and a = vr a and n = n land 31 in
       if d = 0 then next
-      else fun t -> Array.unsafe_set regs d (Word.shl (Array.unsafe_get regs a) n); next t
+      else fun t -> Array.unsafe_set regs d (w32 ((Array.unsafe_get regs a land 0xFFFFFFFF) lsl n)); next t
   | Isa.Srai (d, a, n) ->
-      let d = vr d and a = vr a in
+      let d = vr d and a = vr a and n = n land 31 in
       if d = 0 then next
-      else fun t -> Array.unsafe_set regs d (Word.shr (Array.unsafe_get regs a) n); next t
+      else fun t -> Array.unsafe_set regs d (w32 (w32 (Array.unsafe_get regs a) asr n)); next t
   | Isa.Srli (d, a, n) ->
-      let d = vr d and a = vr a in
+      let d = vr d and a = vr a and n = n land 31 in
       if d = 0 then next
-      else fun t -> Array.unsafe_set regs d (Word.lshr (Array.unsafe_get regs a) n); next t
+      else fun t -> Array.unsafe_set regs d (w32 ((Array.unsafe_get regs a land 0xFFFFFFFF) lsr n)); next t
   | Isa.Set (c, d, a, b) -> (
       let d = vr d and a = vr a and b = vr b in
       if d = 0 then next

@@ -81,6 +81,9 @@ let test_schema () =
        (num sim "iss_mips"))
     true
     (num sim "iss_mips" >= mips_floor);
+  Alcotest.(check bool)
+    "interp_msteps > 0 (IR interpreter rung)" true
+    (num sim "interp_msteps" > 0.0);
   ignore (str sim "iss_workload");
   Alcotest.(check bool)
     "iss_trace_instrs > 1000 (long trace)" true
