@@ -608,6 +608,7 @@ type sim_metrics = {
   sm_blocks : int;  (** static superops compiled for it *)
   sm_block_entries : int;  (** dynamic superop executions *)
   sm_iss_mips : float;
+  sm_system_mips : float;  (** ISS with [System.memory_hooks] *)
   sm_interp_msteps : float;  (** IR interpreter, mpg profile run *)
   sm_cold_ms : float;  (** initial ("I") system sim, memo-cold *)
   sm_warm_ms : float;  (** same, through the Memo initial-report tier *)
@@ -615,7 +616,9 @@ type sim_metrics = {
 
 (* Raw simulation speed: the IR interpreter's throughput on the mpg
    profile run (the ladder's first rung), ISS throughput (no memory
-   system, null hooks) on the long-trace micro-workload, and the latency
+   system, null hooks) on the long-trace micro-workload, ISS throughput
+   with [System]'s cache/memory hooks on the same workload (the second
+   rung), and the latency
    of the initial ("I") system simulation of digs16 cold vs warm through
    the Memo initial-report tier. *)
 let sim_metrics () =
@@ -642,6 +645,25 @@ let sim_metrics () =
   in
   let dt = List.nth samples (iss_reps / 2) in
   let iss_mips = float_of_int r.Lp_iss.Iss.instr_count /. dt /. 1e6 in
+  (* The same run wired to the memory system [System.run] installs. The
+     compile is left out, as for [iss_mips]: on this short trace it took
+     most of a [System.run]. *)
+  let system_run () =
+    let config = System.default_config in
+    let hooks =
+      System.memory_hooks
+        ~icache:(Lp_cache.Cache.create config.System.icache)
+        ~dcache:(Lp_cache.Cache.create config.System.dcache)
+        ~mem:(Lp_mem.Memory.create ())
+        ~acall:(fun _ k -> failwith (Printf.sprintf "acall %d" k))
+        ()
+    in
+    let m = Lp_iss.Iss.create prog hooks in
+    List.iter (fun (base, img) -> Lp_iss.Iss.load_data m base img) data;
+    Lp_iss.Iss.run m
+  in
+  let sys_ms = time_stage ~reps:iss_reps system_run in
+  let system_mips = float_of_int r.Lp_iss.Iss.instr_count /. sys_ms /. 1e3 in
   let mpg = Lp_apps.Mpg.program () in
   let steps = (Lp_ir.Interp.run mpg).Lp_ir.Interp.steps in
   let interp_ms = time_stage ~reps (fun () -> Lp_ir.Interp.run mpg) in
@@ -666,6 +688,7 @@ let sim_metrics () =
     sm_blocks = blocks;
     sm_block_entries = entries;
     sm_iss_mips = iss_mips;
+    sm_system_mips = system_mips;
     sm_interp_msteps = float_of_int steps /. interp_ms /. 1e3;
     sm_cold_ms = 1e3 *. cold_s;
     sm_warm_ms = warm_ms;
@@ -713,9 +736,10 @@ let rec speed ?(smoke = false) () =
   Printf.printf
     "  IR interpreter: %.1f Msteps/s on the mpg profile run\n\
     \  co-sim: ISS %.1f MIPS on %s (%d instrs, %d superops, %d entries);\n\
+    \  ISS %.1f MIPS on it with System's cache/memory hooks;\n\
     \  initial sim cold %.3f ms, memo-warm %.3f ms\n"
     sm.sm_interp_msteps sm.sm_iss_mips sm.sm_workload sm.sm_instrs sm.sm_blocks
-    sm.sm_block_entries sm.sm_cold_ms sm.sm_warm_ms;
+    sm.sm_block_entries sm.sm_system_mips sm.sm_cold_ms sm.sm_warm_ms;
   let seq_s, par_s, warm_s, seq_stats, warm_rate = flow_timing () in
   Printf.printf
     "  full suite: sequential %.3fs, parallel (jobs=%d) %.3fs (%.2fx), \
@@ -774,6 +798,7 @@ let rec speed ?(smoke = false) () =
             [
               ("interp_msteps", j_float sm.sm_interp_msteps);
               ("iss_mips", j_float sm.sm_iss_mips);
+              ("system_mips", j_float sm.sm_system_mips);
               ("iss_workload", j_str sm.sm_workload);
               ("iss_trace_instrs", string_of_int sm.sm_instrs);
               ("iss_superops", string_of_int sm.sm_blocks);

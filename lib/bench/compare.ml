@@ -25,6 +25,7 @@ let metrics_of_doc doc =
     [
       m "interp_msteps" (path doc [ "sim" ] "interp_msteps");
       m "iss_mips" (path doc [ "sim" ] "iss_mips");
+      m "system_mips" (path doc [ "sim" ] "system_mips");
       m "system_sim_ms" (stage_ms doc "system-sim");
       m "full_flow_seq_ms" (stage_ms doc "full-flow-seq");
       m "full_flow_warm_ms" (stage_ms doc "full-flow-warm");

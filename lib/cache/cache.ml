@@ -178,34 +178,38 @@ let locate t addr =
 
 (* -1 = no way holds the tag; otherwise the flat index [set*assoc+way].
    [set] comes masked and [tag] is non-negative, so the unsafe reads
-   stay in range and an invalid way (tag -1) can never match. *)
-let find_slot t set tag =
-  let base = set * t.assoc in
-  let last = base + t.assoc - 1 in
-  let rec go i =
-    if i > last then -1
-    else if Array.unsafe_get t.tags i = tag then i
-    else go (i + 1)
-  in
-  go base
+   stay in range and an invalid way (tag -1) can never match.
 
-let touch t slot =
+   The probe is the innermost work of the co-simulation, and the build
+   has no flambda: a local recursive function over [t]/[tag] would be a
+   closure allocated on every probe (2.6 minor words per simulated
+   instruction over the paper programs), so the scans below are plain
+   loops over refs, which the compiler keeps in registers. *)
+let[@inline] find_slot t set tag =
+  let i = ref (set * t.assoc) in
+  let last = !i + t.assoc - 1 in
+  while !i <= last && Array.unsafe_get t.tags !i <> tag do
+    incr i
+  done;
+  if !i > last then -1 else !i
+
+let[@inline] touch t slot =
   t.clock <- t.clock + 1;
   Array.unsafe_set t.lru slot t.clock
 
+(* Invalid way first, else least recently used. *)
 let victim_slot t set =
-  (* Invalid way first, else least recently used. *)
   let base = set * t.assoc in
   let last = base + t.assoc - 1 in
-  let rec invalid i =
-    if i > last then -1 else if t.tags.(i) < 0 then i else invalid (i + 1)
-  in
-  let inv = invalid base in
-  if inv >= 0 then inv
+  let i = ref base in
+  while !i <= last && Array.unsafe_get t.tags !i >= 0 do
+    incr i
+  done;
+  if !i <= last then !i
   else begin
     let best = ref base in
     for i = base + 1 to last do
-      if t.lru.(i) < t.lru.(!best) then best := i
+      if Array.unsafe_get t.lru i < Array.unsafe_get t.lru !best then best := i
     done;
     !best
   end
@@ -299,7 +303,7 @@ let write_hit t addr =
 
 (* --- bulk runs ----------------------------------------------------- *)
 
-let line_of t addr = addr lsr t.line_shift
+let line_shift t = t.line_shift
 
 let reset_run r =
   r.run_misses <- 0;
@@ -308,21 +312,19 @@ let reset_run r =
   r.run_through_words <- 0;
   r.run_miss_words <- 0
 
-(* [k] same-kind accesses to the line holding [addr], settled with a
-   single probe. Nothing else touches the cache between the accesses of
+(* [k] same-kind accesses to line [line_no], settled with a single
+   probe. Nothing else touches the cache between the accesses of
    a run, so the first access decides residency and the remaining k-1
    are hits on the same way; k touches of one way advance the LRU clock
    by k and leave the way stamped with the final clock, exactly as k
    individual [access] calls would. The one non-uniform case is a
    write-through write miss: no-allocate means the line never becomes
    resident, so all k accesses miss independently, each moving its own
-   word (and paying its own miss penalty, hence k miss events). *)
-let run_line t addr ~write k acc =
-  let line_no = addr lsr t.line_shift in
+   word (and paying its own miss penalty, hence k miss events). The
+   caller counts the k accesses in [s_reads]/[s_writes]. *)
+let[@inline] run_line t line_no ~write k acc =
   let set = line_no land t.set_mask in
   let tag = line_no lsr t.set_shift in
-  if write then t.s_writes <- t.s_writes + k
-  else t.s_reads <- t.s_reads + k;
   let slot = find_slot t set tag in
   if slot >= 0 then begin
     t.clock <- t.clock + k;
@@ -358,7 +360,9 @@ let run_line t addr ~write k acc =
 let access_run t addr ~write k =
   let acc = t.scratch in
   reset_run acc;
-  run_line t addr ~write k acc;
+  if write then t.s_writes <- t.s_writes + k
+  else t.s_reads <- t.s_reads + k;
+  run_line t (addr lsr t.line_shift) ~write k acc;
   acc
 
 (* [n] sequential word reads starting at byte address [addr]; the run
@@ -367,14 +371,19 @@ let access_run t addr ~write k =
 let read_run t addr n =
   let acc = t.scratch in
   reset_run acc;
-  let i = ref 0 in
-  let a = ref addr in
-  while !i < n do
-    let line_end = (((!a lsr t.line_shift) + 1) lsl t.line_shift) in
-    let k = min (n - !i) ((line_end - !a) lsr 2) in
-    run_line t !a ~write:false k acc;
-    i := !i + k;
-    a := !a + (k * 4)
+  t.s_reads <- t.s_reads + n;
+  let line = ref (addr lsr t.line_shift) in
+  (* Words from [addr] to the end of its line, then whole lines. *)
+  let k = ref ((((!line + 1) lsl t.line_shift) - addr) lsr 2) in
+  let left = ref n in
+  while !left > 0 do
+    (* Not [min]: on ints it is still a polymorphic compare, one C call
+       per fetched line. *)
+    let run = if !left < !k then !left else !k in
+    run_line t !line ~write:false run acc;
+    left := !left - run;
+    incr line;
+    k := t.cfg.line_bytes lsr 2
   done;
   acc
 

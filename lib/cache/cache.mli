@@ -98,10 +98,12 @@ val read_run : t -> int -> int -> run_event
     [byte_addr] (word-aligned); the run may span lines and pays one
     probe per line — the instruction-fetch path of a basic block. *)
 
-val line_of : t -> int -> int
-(** Line number of a byte address ([addr / line_bytes]) — exposed so
-    callers batching accesses can detect same-line runs without
-    recomputing geometry. *)
+val line_shift : t -> int
+(** [log2 line_bytes]: [addr lsr line_shift c] is the line number of a
+    byte address. Exposed so callers batching accesses can detect
+    same-line runs with a shift of their own, read once per cache,
+    rather than a cross-module call per access (the dev profile builds
+    with [-opaque], so such calls are never inlined). *)
 
 val locate : t -> int -> int * int
 (** [(set, tag)] of a byte address — exposed so tests can check the

@@ -40,14 +40,10 @@ let[@inline] tick st sid =
   st.fuel <- st.fuel - 1;
   if sid >= 0 then Array.unsafe_set st.prof sid (Array.unsafe_get st.prof sid + 1)
 
-let binop = function
-  | Add -> Word.add | Sub -> Word.sub | Shl -> Word.shl | Shr -> Word.shr
-  | Div -> fun a b -> if b = 0 then fail "division by zero" else Word.div a b
-  | Mod -> fun a b -> if b = 0 then fail "modulo by zero" else Word.rem a b
-  | Mul -> Word.mul | And -> Word.logand | Or -> Word.logor | Xor -> Word.logxor
-  | Lt -> fun a b -> Word.of_bool (a < b) | Le -> fun a b -> Word.of_bool (a <= b)
-  | Gt -> fun a b -> Word.of_bool (a > b) | Ge -> fun a b -> Word.of_bool (a >= b)
-  | Eq -> fun a b -> Word.of_bool (a = b) | Ne -> fun a b -> Word.of_bool (a <> b)
+(* The 32-bit wrap of [Word.norm], spelled out here: the dev profile
+   compiles with [-opaque], so a [Word] call per operator could never be
+   inlined. *)
+let[@inline] w32 x = ((x land 0xFFFFFFFF) lxor 0x80000000) - 0x80000000
 
 let resolve (f : func) =
   let scope = Hashtbl.create 16 in
@@ -87,9 +83,38 @@ let rec expr st scope = function
             check "load" a d idx;
             r.reads <- r.reads + 1;
             Array.unsafe_get d idx)
-  | Binop (op, x, y) ->
-      let f = binop op and x = expr st scope x and y = expr st scope y in
-      fun fr -> let a = x fr in f a (y fr)
+  | Binop (op, x, y) -> (
+      (* One closure per operator, computing in place; the left operand
+         is evaluated first. The shifts and the wrap are [Word]'s. *)
+      let x = expr st scope x and y = expr st scope y in
+      match op with
+      | Add -> fun fr -> let a = x fr in w32 (a + y fr)
+      | Sub -> fun fr -> let a = x fr in w32 (a - y fr)
+      | Mul -> fun fr -> let a = x fr in w32 (a * y fr)
+      | Div ->
+          fun fr ->
+            let a = x fr in
+            let b = y fr in
+            if b = 0 then fail "division by zero" else w32 (a / b)
+      | Mod ->
+          fun fr ->
+            let a = x fr in
+            let b = y fr in
+            if b = 0 then fail "modulo by zero" else w32 (a mod b)
+      | Shl ->
+          fun fr ->
+            let a = x fr in
+            w32 ((a land 0xFFFFFFFF) lsl (y fr land 31))
+      | Shr -> fun fr -> let a = x fr in w32 (w32 a asr (y fr land 31))
+      | And -> fun fr -> let a = x fr in w32 (a land y fr)
+      | Or -> fun fr -> let a = x fr in w32 (a lor y fr)
+      | Xor -> fun fr -> let a = x fr in w32 (a lxor y fr)
+      | Lt -> fun fr -> let a = x fr in if a < y fr then 1 else 0
+      | Le -> fun fr -> let a = x fr in if a <= y fr then 1 else 0
+      | Gt -> fun fr -> let a = x fr in if a > y fr then 1 else 0
+      | Ge -> fun fr -> let a = x fr in if a >= y fr then 1 else 0
+      | Eq -> fun fr -> let a = x fr in if a = y fr then 1 else 0
+      | Ne -> fun fr -> let a = x fr in if a <> y fr then 1 else 0)
   | Unop (Neg, e) -> expr st scope (Binop (Sub, Int 0, e))
   | Unop (Bnot, e) -> expr st scope (Binop (Xor, e, Int (-1)))
   | Unop (Lnot, e) -> expr st scope (Binop (Eq, e, Int 0))
@@ -153,8 +178,11 @@ let rec stmt st scope { sid; node } =
         let h = hi fr in
         fr.(s) <- l; if not declared then fr.(s + 1) <- 1;
         (* The body may write [v]: it is re-read after every iteration. *)
-        while fr.(s) < h do b fr; fr.(s) <- Word.add fr.(s) 1 done
-  | Print e -> let e = expr e in fun fr -> tick st sid; st.out <- e fr :: st.out
+        while fr.(s) < h do b fr; fr.(s) <- w32 (fr.(s) + 1) done
+  | Print e ->
+      (* [e] may call a function that prints: evaluate before reading [out]. *)
+      let e = expr e in
+      fun fr -> tick st sid; let v = e fr in st.out <- v :: st.out
   | Return e ->
       let e = match e with Some e -> expr e | None -> fun _ -> 0 in
       fun fr -> tick st sid; raise_notrace (Return (e fr))

@@ -251,8 +251,14 @@ let memory_hooks ~icache ~dcache ~mem ?(mailbox_lo = 0) ?(mailbox_hi = 0)
     end
   in
   let ifetch_run addr n = charge_run (Cache.read_run icache addr n) in
-  let in_mailbox w = w >= mailbox_lo && w < mailbox_hi in
-  let word_of e = ((e - (e land 1)) - Isa.data_base_byte) lsr 2 in
+  (* Per-access work stays in this module, on values read once here:
+     the dev profile builds with [-opaque], so a call into [Cache] is
+     never inlined. The mailbox window is in byte addresses (data
+     addresses are word-aligned); the D-cache line is a shift. *)
+  let mb_lo = Isa.data_base_byte + (4 * mailbox_lo) in
+  let mb_hi = Isa.data_base_byte + (4 * mailbox_hi) in
+  let in_mailbox a = a >= mb_lo && a < mb_hi in
+  let dline_shift = Cache.line_shift dcache in
   let daccess_run buf n =
     let stalls = ref 0 in
     let i = ref 0 in
@@ -262,12 +268,12 @@ let memory_hooks ~icache ~dcache ~mem ?(mailbox_lo = 0) ?(mailbox_hi = 0)
       let addr = e - wbit in
       let j = ref (!i + 1) in
       let stop = ref false in
-      if in_mailbox ((addr - Isa.data_base_byte) lsr 2) then begin
+      if in_mailbox addr then begin
         (* Uncached handover words: straight over the bus, one
            single-word transaction each. *)
         while (not !stop) && !j < n do
           let e' = Array.unsafe_get buf !j in
-          if e' land 1 = wbit && in_mailbox (word_of e') then incr j
+          if e' land 1 = wbit && in_mailbox (e' - wbit) then incr j
           else stop := true
         done;
         let k = !j - !i in
@@ -282,13 +288,13 @@ let memory_hooks ~icache ~dcache ~mem ?(mailbox_lo = 0) ?(mailbox_hi = 0)
         stalls := !stalls + (k * Memory.miss_penalty_cycles_of mem ~words:1)
       end
       else begin
-        let line = Cache.line_of dcache addr in
+        let line = addr lsr dline_shift in
         while (not !stop) && !j < n do
           let e' = Array.unsafe_get buf !j in
           if
             e' land 1 = wbit
-            && Cache.line_of dcache (e' - wbit) = line
-            && not (in_mailbox (word_of e'))
+            && (e' - wbit) lsr dline_shift = line
+            && not (in_mailbox (e' - wbit))
           then incr j
           else stop := true
         done;

@@ -148,7 +148,9 @@ and exec_stmt st env s =
         end
       in
       loop ()
-  | Print e -> st.out <- eval_expr st env e :: st.out
+  | Print e ->
+      let v = eval_expr st env e in
+      st.out <- v :: st.out
   | Return (Some e) -> raise (Return_exc (eval_expr st env e))
   | Return None -> raise (Return_exc 0)
   | Expr e -> ignore (eval_expr st env e)

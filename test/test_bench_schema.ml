@@ -84,6 +84,9 @@ let test_schema () =
   Alcotest.(check bool)
     "interp_msteps > 0 (IR interpreter rung)" true
     (num sim "interp_msteps" > 0.0);
+  Alcotest.(check bool)
+    "system_mips > 0 (ISS with the cache/memory hooks rung)" true
+    (num sim "system_mips" > 0.0);
   ignore (str sim "iss_workload");
   Alcotest.(check bool)
     "iss_trace_instrs > 1000 (long trace)" true

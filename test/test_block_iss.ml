@@ -34,6 +34,9 @@ let cache_cfgs =
     { Cache.size_bytes = 64; line_bytes = 8; assoc = 2; policy = Cache.Write_through };
     { Cache.size_bytes = 128; line_bytes = 16; assoc = 2; policy = Cache.Write_back };
     { Cache.size_bytes = 256; line_bytes = 16; assoc = 1; policy = Cache.Write_through };
+    (* 4-way: "invalid way first, else LRU" across more than two ways. *)
+    { Cache.size_bytes = 64; line_bytes = 8; assoc = 4; policy = Cache.Write_back };
+    { Cache.size_bytes = 128; line_bytes = 8; assoc = 4; policy = Cache.Write_through };
   ]
 
 type cache_op =

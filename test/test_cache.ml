@@ -64,6 +64,31 @@ let test_lru_replacement () =
   Alcotest.(check bool) "first retained" true (Cache.read c 0).Cache.hit;
   Alcotest.(check bool) "second evicted" false (Cache.read c 256).Cache.hit
 
+(* One set of four ways: a new line takes an invalid way while there is
+   one, so four distinct lines all stay resident; after that the least
+   recently used way goes, in LRU order. *)
+let test_four_way_victim_order () =
+  let c =
+    Cache.create { dm_config with Cache.size_bytes = 64; assoc = 4 }
+  in
+  let line k = 16 * k in
+  let hits ks = List.map (fun k -> (Cache.read c (line k)).Cache.hit) ks in
+  Alcotest.(check (list bool)) "four cold misses" [ false; false; false; false ]
+    (hits [ 0; 1; 2; 3 ]);
+  Alcotest.(check (list bool)) "all four resident" [ true; true; true; true ]
+    (hits [ 0; 1; 2; 3 ]);
+  (* Recency now, oldest first: 1, 3, 2, 0. *)
+  ignore (hits [ 2; 0 ]);
+  Alcotest.(check (list bool)) "new lines miss" [ false; false ] (hits [ 4; 5 ]);
+  (* 4 evicted 1, then 5 evicted 3. *)
+  Alcotest.(check (list bool)) "survivors" [ true; true; true; true ]
+    (hits [ 0; 2; 4; 5 ]);
+  Alcotest.(check (list bool)) "victims, oldest first" [ false; false ]
+    (hits [ 1; 3 ]);
+  (* 1 evicted 0, then 3 evicted 2; 4 and 5 survive. *)
+  Alcotest.(check (list bool)) "LRU again" [ true; true; false ]
+    (hits [ 4; 5; 0 ])
+
 let test_writeback_dirty_eviction () =
   let c = Cache.create dm_config in
   let w = Cache.write c 0 in
@@ -171,6 +196,7 @@ let () =
           Alcotest.test_case "direct-mapped conflict" `Quick test_direct_mapped_conflict;
           Alcotest.test_case "two-way avoids conflict" `Quick test_two_way_avoids_conflict;
           Alcotest.test_case "LRU replacement" `Quick test_lru_replacement;
+          Alcotest.test_case "4-way victim order" `Quick test_four_way_victim_order;
           Alcotest.test_case "write-back dirty eviction" `Quick test_writeback_dirty_eviction;
           Alcotest.test_case "clean eviction" `Quick test_clean_eviction_no_writeback;
           Alcotest.test_case "write-through" `Quick test_write_through;

@@ -357,10 +357,32 @@ let test_overloaded () =
             "list unaffected" true
             (Result.is_ok resp.Protocol.payload)))
 
+(* An exploration far longer than any deadline in these tests, and
+   longer than the timeout's wake-up latency on a loaded host. *)
+let big_explore =
+  Protocol.Explore
+    {
+      app;
+      options = Protocol.no_options;
+      explore =
+        {
+          Protocol.strategy = Some "anneal:20000:4";
+          seed = Some 1;
+          f_values = Some [ 0.5; 16.0 ];
+          n_max_values = None;
+          max_cells_values = Some [ 8_000; 16_000; 24_000 ];
+          vdd_values = Some [ 2.0; 3.3 ];
+          platform_values = None;
+        };
+    }
+
+(* The deadline wake-up has 200 ms granularity and a result that
+   resolves first is still delivered, so the request must be one that
+   cannot finish within that latency; a cold [run] of a paper app may. *)
 let test_timeout () =
-  with_server ~timeout_s:0.001 (fun socket ->
+  with_server ~workers:1 ~timeout_s:0.001 (fun socket ->
       with_client socket (fun c ->
-          expect_code "deadline exceeded" "timeout" (Client.rpc c run_request)))
+          expect_code "deadline exceeded" "timeout" (Client.rpc c big_explore)))
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -431,23 +453,6 @@ let test_timeout_frees_worker () =
       with_client socket (fun c ->
           (* warm the memo so the follow-up run is cheap *)
           let warm = payload_string (Client.rpc c run_request) in
-          let big_explore =
-            Protocol.Explore
-              {
-                app;
-                options = Protocol.no_options;
-                explore =
-                  {
-                    Protocol.strategy = Some "anneal:20000:4";
-                    seed = Some 1;
-                    f_values = Some [ 0.5; 16.0 ];
-                    n_max_values = None;
-                    max_cells_values = Some [ 8_000; 16_000; 24_000 ];
-                    vdd_values = Some [ 2.0; 3.3 ];
-                    platform_values = None;
-                  };
-              }
-          in
           expect_code "huge exploration times out" "timeout"
             (Client.rpc c big_explore);
           let t0 = Unix.gettimeofday () in

@@ -150,6 +150,22 @@ let test_custom_cache_config () =
   Alcotest.(check bool) "fewer or equal stalls" true
     (big.System.stall_cycles <= small.System.stall_cycles)
 
+(* [print(f())] where [f] prints: the callee's output comes first, on
+   the interpreter as on the compiled code. *)
+let test_print_of_printing_call () =
+  let p =
+    let open Lp_ir.Builder in
+    program ~arrays:[]
+      [
+        func "f" ~params:[] ~locals:[] [ print (int 7); return (int 1) ];
+        func "main" ~params:[] ~locals:[] [ print (call "f" []) ];
+      ]
+  in
+  let interp = (Interp.run p).Interp.outputs in
+  Alcotest.(check (list int)) "interpreter" [ 7; 1 ] interp;
+  Alcotest.(check (list int)) "system = interpreter" interp
+    (System.run p).System.outputs
+
 let prop_system_matches_interp =
   QCheck.Test.make ~name:"random programs: system == interpreter" ~count:60
     Lp_testkit.program_arbitrary (fun p ->
@@ -163,6 +179,8 @@ let () =
           Alcotest.test_case "accounting" `Quick test_initial_accounting;
           Alcotest.test_case "outputs vs interpreter" `Quick test_outputs_match_interpreter;
           Alcotest.test_case "custom cache config" `Quick test_custom_cache_config;
+          Alcotest.test_case "print of a printing call" `Quick
+            test_print_of_printing_call;
         ] );
       ( "partitioned",
         [
