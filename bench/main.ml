@@ -718,6 +718,37 @@ let candidate_pairs_per_app () =
       (e.name, pairs))
     Apps.all
 
+(* Candidate-evaluation rung: microseconds per (cluster x resource set)
+   pair of [Candidate.evaluate] (no memo) over gen:deep:1's 64 pairs —
+   the matrix the cold flow's Candidates stage evaluates. Each sample
+   is one sweep over all pairs; the figure is the median sweep's mean
+   per pair. *)
+let cand_eval_us () =
+  let spec, seed =
+    match Lp_gen.Gen.parse_name "gen:deep:1" with
+    | Ok p -> p
+    | Error msg -> failwith msg
+  in
+  let program = Lp_gen.Gen.generate spec ~seed in
+  let profile = (Lp_ir.Interp.run program).Lp_ir.Interp.profile in
+  let chain = Lp_cluster.Cluster.decompose program in
+  let pairs =
+    Lp_preselect.Preselect.pre_select
+      (Lp_preselect.Preselect.create program chain)
+      ~profile ~n_max:spec.Lp_gen.Gen.clusters
+    |> List.concat_map (fun (c, (est : Lp_preselect.Preselect.estimate)) ->
+           List.map
+             (fun rs -> (c, est.Lp_preselect.Preselect.energy_j, rs))
+             Lp_tech.Resource_set.default_sets)
+  in
+  let sweep () =
+    List.iter
+      (fun (c, e_trans_j, rs) ->
+        ignore (Lp_core.Candidate.evaluate ~profile ~e_trans_j c rs))
+      pairs
+  in
+  1e3 *. time_stage ~reps:7 sweep /. float_of_int (List.length pairs)
+
 let rec speed ?(smoke = false) () =
   section "B7: evaluation-engine performance (BENCH_flow.json)";
   let stages = stage_timings () in
@@ -740,6 +771,9 @@ let rec speed ?(smoke = false) () =
     \  initial sim cold %.3f ms, memo-warm %.3f ms\n"
     sm.sm_interp_msteps sm.sm_iss_mips sm.sm_workload sm.sm_instrs sm.sm_blocks
     sm.sm_block_entries sm.sm_system_mips sm.sm_cold_ms sm.sm_warm_ms;
+  let eval_us = cand_eval_us () in
+  Printf.printf
+    "  candidate evaluation: %.1f us per pair on gen:deep:1 (no memo)\n" eval_us;
   let seq_s, par_s, warm_s, seq_stats, warm_rate = flow_timing () in
   Printf.printf
     "  full suite: sequential %.3fs, parallel (jobs=%d) %.3fs (%.2fx), \
@@ -821,6 +855,7 @@ let rec speed ?(smoke = false) () =
               ( "max_candidate_pairs",
                 string_of_int max_pairs );
               ("memo_warm_speedup", j_float (seq_s /. warm_s));
+              ("cand_eval_us", j_float eval_us);
               ( "stages",
                 j_obj
                   (List.map
@@ -1464,6 +1499,14 @@ let corpus_write () =
   Corpus.save path entries;
   Printf.printf "  wrote %s (%d entries)\n%!" path (List.length entries)
 
+(* Samples per side (seq and par) of each corpus task; odd, so the
+   median is a sample. *)
+let corpus_samples = 5
+
+let median samples =
+  let a = Array.of_list (List.sort compare samples) in
+  a.(Array.length a / 2)
+
 let corpus_bench ?(smoke = false) () =
   let module Json = Lp_json in
   let module Corpus = Lp_bench.Corpus in
@@ -1518,20 +1561,42 @@ let corpus_bench ?(smoke = false) () =
     let options =
       { Flow.default_options with Flow.jobs = 1; n_max = spec.Gen.clusters }
     in
-    Memo.reset ();
-    let r_seq, seq_s = wall (fun () -> Flow.run ~options ~name program) in
-    let pairs =
-      List.length r_seq.Flow.preselected * List.length options.Flow.resource_sets
-    in
-    let above = pairs >= Flow.pool_threshold in
     (* The parallel figure is the default-options run: what a user gets
        with no tuning. On a single-CPU host default_jobs is 1, the flow
        never fans out, and the recorded "speedup" is honest noise around
        1.0 — the corpus block carries jobs/host_cpus so the comparator
-       knows which floor applies. *)
+       knows which floor applies. One wall-clock sample per side swung
+       the ratio between 0.2 and 1.5 on an unchanged tree, so each side
+       is sampled [corpus_samples] times, seq and par alternating (and
+       alternating which goes first), and the medians are compared. The
+       minor collections of each run are logged with it: every one stops
+       all domains, the pool's worker too. *)
     let par_options = { options with Flow.jobs } in
-    Memo.reset ();
-    let _, par_s = wall (fun () -> Flow.run ~options:par_options ~name program) in
+    let sample options =
+      Memo.reset ();
+      let gc0 = (Gc.quick_stat ()).Gc.minor_collections in
+      let r, dt = wall (fun () -> Flow.run ~options ~name program) in
+      (r, dt, (Gc.quick_stat ()).Gc.minor_collections - gc0)
+    in
+    let rounds =
+      List.init corpus_samples (fun i ->
+          if i mod 2 = 0 then
+            let s = sample options in
+            (s, sample par_options)
+          else
+            let p = sample par_options in
+            (sample options, p))
+    in
+    let r_seq, _, _ = fst (List.hd rounds) in
+    let pairs =
+      List.length r_seq.Flow.preselected * List.length options.Flow.resource_sets
+    in
+    let above = pairs >= Flow.pool_threshold in
+    let med side f = median (List.map (fun r -> f (side r)) rounds) in
+    let seq_s = med fst (fun (_, dt, _) -> dt)
+    and par_s = med snd (fun (_, dt, _) -> dt) in
+    let seq_gcs = med fst (fun (_, _, g) -> float_of_int g)
+    and par_gcs = med snd (fun (_, _, g) -> float_of_int g) in
     let log_path = Filename.concat log_dir (String.map (function ':' -> '_' | c -> c) name ^ ".log") in
     Out_channel.with_open_text log_path (fun oc ->
         Printf.fprintf oc "task %s (run %s)\n" name run_id;
@@ -1545,18 +1610,27 @@ let corpus_bench ?(smoke = false) () =
           (List.length r_seq.Flow.selected)
           (100.0 *. r_seq.Flow.energy_saving)
           r_seq.Flow.total_cells;
-        Printf.fprintf oc "seq %.3f ms  par(jobs=%d) %.3f ms  speedup %.3f\n"
-          (1e3 *. seq_s) jobs (1e3 *. par_s) (seq_s /. par_s);
+        Printf.fprintf oc
+          "median of %d: seq %.3f ms  par(jobs=%d) %.3f ms  speedup %.3f\n"
+          corpus_samples (1e3 *. seq_s) jobs (1e3 *. par_s) (seq_s /. par_s);
+        List.iteri
+          (fun i ((_, s, sg), (_, p, pg)) ->
+            Printf.fprintf oc
+              "  round %d: seq %.3f ms (%d minor GCs)  par %.3f ms (%d minor \
+               GCs)\n"
+              i (1e3 *. s) sg (1e3 *. p) pg)
+          rounds;
         List.iter
           (fun (st, dt) ->
             Printf.fprintf oc "  stage %-22s %8.3f ms\n" (Flow.stage_name st)
               (1e3 *. dt))
           r_seq.Flow.stage_times);
     Printf.printf
-      "  %-14s %4d pairs%s  seq %8.1f ms  par %8.1f ms  speedup %.2f  sav %5.1f%%\n%!"
+      "  %-14s %4d pairs%s  seq %8.1f ms  par %8.1f ms  speedup %.2f  minor \
+       GCs %.0f/%.0f  sav %5.1f%%\n%!"
       name pairs
       (if above then " (par)" else "      ")
-      (1e3 *. seq_s) (1e3 *. par_s) (seq_s /. par_s)
+      (1e3 *. seq_s) (1e3 *. par_s) (seq_s /. par_s) seq_gcs par_gcs
       (100.0 *. r_seq.Flow.energy_saving);
     ( name,
       Json.Assoc
@@ -1567,6 +1641,9 @@ let corpus_bench ?(smoke = false) () =
           ("seq_ms", Json.Float (1e3 *. seq_s));
           ("par_ms", Json.Float (1e3 *. par_s));
           ("speedup", Json.Float (seq_s /. par_s));
+          ("samples", Json.Int corpus_samples);
+          ("seq_minor_gcs", Json.Float seq_gcs);
+          ("par_minor_gcs", Json.Float par_gcs);
           ("energy_saving", Json.Float r_seq.Flow.energy_saving);
           ("selected", Json.Int (List.length r_seq.Flow.selected));
         ],
@@ -1575,7 +1652,8 @@ let corpus_bench ?(smoke = false) () =
   let rows = List.map bench_task tasks in
   (* The headline corpus speedup: the above-threshold tasks only — the
      paper apps' bookkeeping-dominated figure is exactly what this key
-     exists to not be diluted by. *)
+     exists to not be diluted by — as the ratio of their summed seq and
+     par medians. *)
   let above_seq, above_par =
     List.fold_left
       (fun (s, p) (_, _, (seq_s, par_s, above)) ->

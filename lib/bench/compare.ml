@@ -30,6 +30,7 @@ let metrics_of_doc doc =
       m "full_flow_seq_ms" (stage_ms doc "full-flow-seq");
       m "full_flow_warm_ms" (stage_ms doc "full-flow-warm");
       m "memo_warm_speedup" (path doc [ "flow" ] "memo_warm_speedup");
+      m "cand_eval_us" (path doc [ "flow" ] "cand_eval_us");
       m "parallel_speedup_paper"
         (match path doc [ "flow" ] "parallel_speedup_paper" with
         | Some v -> Some v

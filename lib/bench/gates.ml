@@ -47,6 +47,16 @@ let all =
         "ISS throughput with System's cache/memory hooks; informational";
     };
     {
+      metric = "cand_eval_us";
+      dir = Ceiling;
+      limit_of = (fun _ -> None);
+      (* Candidate-evaluation rung: reported, not gated, like the other
+         new rungs until its spread on a host is known. *)
+      max_regress = None;
+      why =
+        "Candidate.evaluate per pair on gen:deep:1 (no memo); informational";
+    };
+    {
       metric = "iss_mips";
       dir = Floor;
       limit_of = fixed iss_mips_floor;

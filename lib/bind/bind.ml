@@ -19,29 +19,29 @@ type result = {
    segments), [busy_cycles] accumulates profiled usage. *)
 type pool = {
   mutable count : int;
+  mutable insts : instance array;
   mutable busy_until : int array;
   mutable busy_cycles : int array;
 }
 
 let bind segments =
-  let pools : (Resource.kind, pool) Hashtbl.t = Hashtbl.create 8 in
-  let pool_of k =
-    match Hashtbl.find_opt pools k with
-    | Some p -> p
-    | None ->
-        let p = { count = 0; busy_until = [||]; busy_cycles = [||] } in
-        Hashtbl.add pools k p;
-        p
+  (* One pool per kind, indexed by [Resource.kind_index]: walking it in
+     index order visits the kinds in [Resource.compare_kind] order. *)
+  let pools =
+    Array.init Resource.n_kinds (fun _ ->
+        { count = 0; insts = [||]; busy_until = [||]; busy_cycles = [||] })
   in
-  let grow p =
+  let grow p k =
     let count' = p.count + 1 in
-    let until' = Array.make count' 0 in
-    let cycles' = Array.make count' 0 in
-    Array.blit p.busy_until 0 until' 0 p.count;
-    Array.blit p.busy_cycles 0 cycles' 0 p.count;
+    let extend a x =
+      let a' = Array.make count' x in
+      Array.blit a 0 a' 0 p.count;
+      a'
+    in
+    p.insts <- extend p.insts { res_kind = k; index = p.count };
+    p.busy_until <- extend p.busy_until 0;
+    p.busy_cycles <- extend p.busy_cycles 0;
     p.count <- count';
-    p.busy_until <- until';
-    p.busy_cycles <- cycles';
     count' - 1
   in
   let binding =
@@ -50,34 +50,42 @@ let bind segments =
   List.iteri
     (fun seg_i { sched; times } ->
       (* Fresh segment: all instances idle again. *)
-      Hashtbl.iter
-        (fun _ p -> Array.fill p.busy_until 0 p.count 0)
-        pools;
+      Array.iter (fun p -> Array.fill p.busy_until 0 p.count 0) pools;
       (* Bind operations in increasing start-step order (ties by node
-         id) — the control-step sweep of Fig. 4 line 2. *)
-      let order =
-        List.sort
-          (fun a b -> compare (sched.Lp_sched.Sched.start.(a), a) (sched.Lp_sched.Sched.start.(b), b))
-          (Lp_graph.Digraph.nodes (Lp_ir.Dfg.graph sched.Lp_sched.Sched.dfg))
-      in
+         id) — the control-step sweep of Fig. 4 line 2 — laid out by a
+         counting sort over the start steps. *)
+      let start = sched.Lp_sched.Sched.start in
+      let n = Array.length start in
+      let steps = 1 + Array.fold_left max (-1) start in
+      let first = Array.make (steps + 1) 0 in
+      Array.iter (fun t -> first.(t + 1) <- first.(t + 1) + 1) start;
+      for t = 1 to steps do
+        first.(t) <- first.(t) + first.(t - 1)
+      done;
+      let order = Array.make n 0 in
+      for v = 0 to n - 1 do
+        let t = start.(v) in
+        order.(first.(t)) <- v;
+        first.(t) <- first.(t) + 1
+      done;
       let bound = ref [] in
-      List.iter
-        (fun v ->
-          let k = sched.Lp_sched.Sched.kind.(v) in
-          let t = sched.Lp_sched.Sched.start.(v) in
-          let lat = sched.Lp_sched.Sched.latency.(v) in
-          let p = pool_of k in
-          (* Reuse the lowest-index instance idle at step [t] (the
-             Glob/Loc-list test); instantiate a new one otherwise. *)
-          let idx = ref (-1) in
-          Array.iteri
-            (fun i until -> if !idx < 0 && until <= t then idx := i)
-            p.busy_until;
-          let i = if !idx >= 0 then !idx else grow p in
-          p.busy_until.(i) <- t + lat;
-          p.busy_cycles.(i) <- p.busy_cycles.(i) + (lat * times);
-          bound := (v, { res_kind = k; index = i }) :: !bound)
-        order;
+      for j = 0 to n - 1 do
+        let v = order.(j) in
+        let k = sched.Lp_sched.Sched.kind.(v) in
+        let t = start.(v) in
+        let lat = sched.Lp_sched.Sched.latency.(v) in
+        let p = pools.(Resource.kind_index k) in
+        (* Reuse the lowest-index instance idle at step [t] (the
+           Glob/Loc-list test); instantiate a new one otherwise. *)
+        let i = ref 0 in
+        while !i < p.count && p.busy_until.(!i) > t do
+          incr i
+        done;
+        let i = if !i < p.count then !i else grow p k in
+        p.busy_until.(i) <- t + lat;
+        p.busy_cycles.(i) <- p.busy_cycles.(i) + (lat * times);
+        bound := (v, p.insts.(i)) :: !bound
+      done;
       binding.(seg_i) <- List.rev !bound)
     segments;
   let n_cyc =
@@ -85,9 +93,11 @@ let bind segments =
       segments
   in
   let kinds =
-    Hashtbl.fold (fun k p acc -> if p.count > 0 then (k, p) :: acc else acc)
-      pools []
-    |> List.sort (fun (a, _) (b, _) -> Resource.compare_kind a b)
+    List.filter_map
+      (fun k ->
+        let p = pools.(Resource.kind_index k) in
+        if p.count > 0 then Some (k, p) else None)
+      Resource.all_kinds
   in
   let instances = List.map (fun (k, p) -> (k, p.count)) kinds in
   let geq =
@@ -95,9 +105,7 @@ let bind segments =
   in
   let busy =
     List.concat_map
-      (fun (k, p) ->
-        List.init p.count (fun i ->
-            ({ res_kind = k; index = i }, p.busy_cycles.(i))))
+      (fun (_, p) -> List.init p.count (fun i -> (p.insts.(i), p.busy_cycles.(i))))
       kinds
   in
   let n_inst = List.length busy in
@@ -155,18 +163,17 @@ module Uproc_model = struct
   let control_overhead_cycles = 2
 
   let utilization segments =
-    let busy = Hashtbl.create 8 in
+    let busy = Array.make Resource.n_kinds 0 in
     let total = ref 0 in
     List.iter
       (fun (ops, times) ->
         total := !total + (control_overhead_cycles * times);
         List.iter
           (fun op ->
-            let rs = resource_of_op op in
+            let rs = Resource.kind_index (resource_of_op op) in
             let c = op_cycles op * times in
             total := !total + c;
-            let prev = Option.value ~default:0 (Hashtbl.find_opt busy rs) in
-            Hashtbl.replace busy rs (prev + c))
+            busy.(rs) <- busy.(rs) + c)
           ops)
       segments;
     if !total = 0 then (0.0, 0)
@@ -175,7 +182,7 @@ module Uproc_model = struct
       let u =
         List.fold_left
           (fun acc rs ->
-            let b = Option.value ~default:0 (Hashtbl.find_opt busy rs) in
+            let b = busy.(Resource.kind_index rs) in
             acc +. (float_of_int b /. float_of_int !total))
           0.0 inventory
         /. float_of_int n

@@ -40,64 +40,103 @@ let rough_energy (b : Bind.result) =
 
 type scheduler = List_sched | Fds of float
 
-let evaluate ?(scheduler = List_sched) ~profile ~e_trans_j cluster rset =
-  if not (Cluster.asic_candidate cluster) then None
+(* Everything about a cluster that no resource set changes: its segment
+   DFGs with their profiled execution counts, and the uP side of the
+   line-9 comparison. *)
+type prepared = {
+  p_cluster : Cluster.t;
+  p_segments : (Sched.prepared * int) list option;
+  p_u_up : float;
+  p_up_cycles : int;
+}
+
+let prepare ~profile cluster =
+  let unlowerable =
+    { p_cluster = cluster; p_segments = None; p_u_up = 0.0; p_up_cycles = 0 }
+  in
+  if not (Cluster.asic_candidate cluster) then unlowerable
   else begin
-    let schedule dfg =
-      match scheduler with
-      | List_sched -> Sched.schedule dfg rset
-      | Fds stretch ->
-          (* Feasibility still honours the designer set; the latency
-             budget stretches the list scheduler's own makespan. *)
-          Option.bind (Sched.schedule dfg rset) (fun list_sched ->
-              let budget =
-                max (Lp_sched.Fds.min_latency dfg)
-                  (int_of_float
-                     (Float.ceil
-                        (stretch *. float_of_int (max 1 list_sched.Sched.length))))
-              in
-              Lp_sched.Fds.schedule dfg ~latency:budget)
-    in
     let segments = Cluster.segments cluster in
     let rec build acc = function
       | [] -> Some (List.rev acc)
       | (seg : Cluster.segment) :: rest -> (
-          match Lp_ir.Dfg.of_segment seg.Cluster.seg_exprs seg.Cluster.seg_stmts with
+          match
+            Lp_ir.Dfg.of_segment seg.Cluster.seg_exprs seg.Cluster.seg_stmts
+          with
           | None -> None
-          | Some dfg -> (
-              match schedule dfg with
-              | None -> None
-              | Some sched ->
-                  let times = ex_times profile seg.Cluster.anchor_sid in
-                  build ({ Bind.sched; times } :: acc) rest))
+          | Some dfg ->
+              build
+                ((Sched.prepare dfg, ex_times profile seg.Cluster.anchor_sid)
+                :: acc)
+                rest)
     in
     match build [] segments with
-    | None -> None
-    | Some seg_scheds ->
-        let bind = Bind.bind seg_scheds in
-        if bind.Bind.n_cyc = 0 then None
-        else begin
-          let netlist = Lp_rtl.Netlist.generate bind seg_scheds in
-          let u_up, up_cycles =
-            Bind.Uproc_model.utilization (Cluster.dynamic_ops cluster ~profile)
-          in
-          Some
-            {
-              cluster;
-              rset;
-              segments = seg_scheds;
-              bind;
-              netlist;
-              cells = Lp_rtl.Netlist.cell_estimate netlist;
-              u_asic = bind.Bind.utilization;
-              u_up;
-              asic_cycles = bind.Bind.n_cyc;
-              up_cycles;
-              e_asic_rough_j = rough_energy bind;
-              e_trans_j;
-            }
-        end
+    | None -> unlowerable
+    | Some dfgs ->
+        let u_up, up_cycles =
+          Bind.Uproc_model.utilization (Cluster.dynamic_ops cluster ~profile)
+        in
+        {
+          p_cluster = cluster;
+          p_segments = Some dfgs;
+          p_u_up = u_up;
+          p_up_cycles = up_cycles;
+        }
   end
+
+let evaluate_prepared ?(scheduler = List_sched) ~e_trans_j p rset =
+  match p.p_segments with
+  | None -> None
+  | Some dfgs -> (
+      let schedule prepared =
+        match scheduler with
+        | List_sched -> Sched.schedule_prepared prepared rset
+        | Fds stretch ->
+            (* Feasibility still honours the designer set; the latency
+               budget stretches the list scheduler's own makespan. *)
+            let dfg = Sched.prepared_dfg prepared in
+            Option.bind (Sched.schedule_prepared prepared rset) (fun list_sched ->
+                let budget =
+                  max (Lp_sched.Fds.min_latency dfg)
+                    (int_of_float
+                       (Float.ceil
+                          (stretch *. float_of_int (max 1 list_sched.Sched.length))))
+                in
+                Lp_sched.Fds.schedule dfg ~latency:budget)
+      in
+      let rec build acc = function
+        | [] -> Some (List.rev acc)
+        | (graph, times) :: rest -> (
+            match schedule graph with
+            | None -> None
+            | Some sched -> build ({ Bind.sched; times } :: acc) rest)
+      in
+      match build [] dfgs with
+      | None -> None
+      | Some seg_scheds ->
+          let bind = Bind.bind seg_scheds in
+          if bind.Bind.n_cyc = 0 then None
+          else begin
+            let netlist = Lp_rtl.Netlist.generate bind seg_scheds in
+            Some
+              {
+                cluster = p.p_cluster;
+                rset;
+                segments = seg_scheds;
+                bind;
+                netlist;
+                cells = Lp_rtl.Netlist.cell_estimate netlist;
+                u_asic = bind.Bind.utilization;
+                u_up = p.p_u_up;
+                asic_cycles = bind.Bind.n_cyc;
+                up_cycles = p.p_up_cycles;
+                e_asic_rough_j = rough_energy bind;
+                e_trans_j;
+              }
+          end)
+
+let evaluate ?scheduler ~profile ~e_trans_j cluster rset =
+  evaluate_prepared ?scheduler ~e_trans_j (prepare ~profile cluster) rset
 
 let beats_up c = c.u_asic > c.u_up
 

@@ -38,6 +38,30 @@ val evaluate :
     [scheduler] (default {!List_sched}) decides control steps; binding,
     utilisation and hardware estimation are identical either way. *)
 
+(** {2 Per-cluster preparation}
+
+    Of one evaluation, the segment DFGs and the uP utilisation
+    [U_uP^core] depend on the cluster and the profile but not on the
+    resource set. A flow evaluates each cluster under every designer
+    set, so it prepares the cluster once and evaluates the prepared
+    value per set. *)
+
+type prepared
+(** A cluster's segment DFGs with their execution counts, and its
+    [U_uP^core] and uP cycles. Read-only once built: one value may be
+    evaluated from several domains at once. *)
+
+val prepare : profile:int array -> Lp_cluster.Cluster.t -> prepared
+
+val evaluate_prepared :
+  ?scheduler:scheduler ->
+  e_trans_j:float ->
+  prepared ->
+  Lp_tech.Resource_set.t ->
+  t option
+(** [evaluate_prepared ~e_trans_j (prepare ~profile c) rs] equals
+    [evaluate ~profile ~e_trans_j c rs]. *)
+
 val beats_up : t -> bool
 (** The line-9 test: [U_R^core > U_uP^core]. *)
 

@@ -345,22 +345,25 @@ let run ?(options = default_options) ?pool ?cancel ~name program =
      did not change. *)
   let { cand_pairs = _; cand_kept = candidates } =
     stage Candidates (fun () ->
+        (* Each cluster is prepared once, whatever the number of sets
+           it is evaluated under (see [Memo.prepare]). *)
         let pairs =
           Array.of_list
             (List.concat_map
                (fun ((cluster : Cluster.t), (est : Preselect.estimate)) ->
-                 List.map (fun rset -> (cluster, est, rset)) options.resource_sets)
+                 let prepared = Memo.prepare ~profile cluster in
+                 List.map (fun rset -> (prepared, est, rset)) options.resource_sets)
                preselected)
         in
         Lp_trace.counter "flow.candidates.pairs" (Array.length pairs);
-        let eval ((cluster : Cluster.t), (est : Preselect.estimate), rset) =
+        let eval (prepared, (est : Preselect.estimate), rset) =
           (* The fan-out is where a large flow spends its time, so the
              token is also polled per evaluation on the sequential
              path (the pool polls it per chunk). *)
           check_cancel ();
           Memo.evaluate ~platform:options.config.System.platform
-            ~scheduler:options.scheduler ~profile
-            ~e_trans_j:est.Preselect.energy_j cluster rset
+            ~scheduler:options.scheduler ~e_trans_j:est.Preselect.energy_j
+            prepared rset
         in
         let evaluated =
           match pool with

@@ -11,9 +11,19 @@ module Platform = Lp_tech.Platform
    deliberately omitted: they only matter through the profile values,
    which are emitted in traversal (= positional) order. *)
 
+(* [string_of_int n] without the intermediate string. *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
 let add_int buf n =
   Buffer.add_char buf 'i';
-  Buffer.add_string buf (string_of_int n);
+  if n >= 0 then add_digits buf n
+  else if n = min_int then Buffer.add_string buf (string_of_int n)
+  else begin
+    Buffer.add_char buf '-';
+    add_digits buf (-n)
+  end;
   Buffer.add_char buf ';'
 
 let add_str buf s =
@@ -133,9 +143,29 @@ let add_platform buf (p : Platform.t) =
 let add_platform_unless_default buf p =
   if not (Platform.equal p Platform.sparclite) then add_platform buf p
 
-let fingerprint ?(platform = Platform.sparclite) ~scheduler ~profile
-    (cluster : Cluster.t) rset =
+(* The statement half of a key — the cluster's statements with their
+   profiled counts — is the same under every resource set, so it is
+   serialized once per cluster; [key] puts the per-set half in front
+   of it and hashes the same bytes the per-pair keys always were. *)
+type prepared = {
+  cluster : Cluster.t;
+  profile : int array;
+  stmts_bytes : string;
+  candidate : Candidate.prepared option Atomic.t;
+}
+
+let prepare ~profile (cluster : Cluster.t) =
   let buf = Buffer.create 512 in
+  add_stmts buf ~profile cluster.Cluster.stmts;
+  { cluster; profile; stmts_bytes = Buffer.contents buf; candidate = Atomic.make None }
+
+(* Each domain assembles its keys in a scratch [Bytes] of its own that
+   only grows, so a key costs no allocation beyond its digest. *)
+let key_scratch = Domain.DLS.new_key (fun () -> (Buffer.create 128, ref (Bytes.create 4096)))
+
+let key ?(platform = Platform.sparclite) ~scheduler p rset =
+  let buf, scratch = Domain.DLS.get key_scratch in
+  Buffer.clear buf;
   add_platform_unless_default buf platform;
   add_scheduler buf scheduler;
   List.iter
@@ -143,8 +173,23 @@ let fingerprint ?(platform = Platform.sparclite) ~scheduler ~profile
       add_str buf (Lp_tech.Resource.kind_to_string kind);
       add_int buf count)
     (Lp_tech.Resource_set.bindings rset);
-  add_stmts buf ~profile cluster.Cluster.stmts;
-  Digest.string (Buffer.contents buf)
+  let head = Buffer.length buf and tail = String.length p.stmts_bytes in
+  if Bytes.length !scratch < head + tail then
+    scratch := Bytes.create (2 * (head + tail));
+  Buffer.blit buf 0 !scratch 0 head;
+  Bytes.blit_string p.stmts_bytes 0 !scratch head tail;
+  Digest.subbytes !scratch 0 (head + tail)
+
+(* The DFGs and the uP model are built on the first miss of a cluster,
+   so a warm flow never builds them. Domains racing on a cluster may
+   each build it; the values are equal, and the last one stays. *)
+let candidate_prepared p =
+  match Atomic.get p.candidate with
+  | Some c -> c
+  | None ->
+      let c = Candidate.prepare ~profile:p.profile p.cluster in
+      Atomic.set p.candidate (Some c);
+      c
 
 (* Fingerprint of the initial ("I") system simulation: the whole program
    — entry, every array with its init image, every function — plus every
@@ -358,8 +403,8 @@ let disk_entries () =
    evaluation itself runs outside the lock so parallel workers only
    serialise on the table probe. *)
 let evaluate ?(platform = Platform.sparclite)
-    ?(scheduler = Candidate.List_sched) ~profile ~e_trans_j cluster rset =
-  let key = fingerprint ~platform ~scheduler ~profile cluster rset in
+    ?(scheduler = Candidate.List_sched) ~e_trans_j p rset =
+  let key = key ~platform ~scheduler p rset in
   let restamp v = Option.map (fun c -> { c with Candidate.e_trans_j }) v in
   let cached =
     locked (fun () ->
@@ -386,7 +431,8 @@ let evaluate ?(platform = Platform.sparclite)
       | None ->
           locked (fun () -> incr misses);
           let v =
-            Candidate.evaluate ~scheduler ~profile ~e_trans_j cluster rset
+            Candidate.evaluate_prepared ~scheduler ~e_trans_j
+              (candidate_prepared p) rset
           in
           let normalised =
             Option.map (fun c -> { c with Candidate.e_trans_j = 0.0 }) v

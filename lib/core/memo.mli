@@ -9,13 +9,19 @@
     by the later objective evaluation), [N_max], the cache/memory
     configuration, or the ASIC supply voltage.
 
-    {!fingerprint} serializes those four inputs structurally — statement
-    ids enter only positionally, with each statement's [#ex_times]
-    inlined, so two structurally identical clusters with equal profiles
-    share a key even across differently-numbered programs — and hashes
-    them with [Digest]. {!evaluate} is a drop-in, domain-safe caching
-    wrapper around {!Candidate.evaluate}: cached candidates are
-    re-stamped with the caller's [e_trans_j] on every hit.
+    {!key} serializes those four inputs structurally — statement ids
+    enter only positionally, with each statement's [#ex_times] inlined,
+    so two structurally identical clusters with equal profiles share a
+    key even across differently-numbered programs — and hashes them
+    with [Digest]. {!evaluate} is a domain-safe caching wrapper around
+    {!Candidate.evaluate_prepared}: cached candidates are re-stamped
+    with the caller's [e_trans_j] on every hit.
+
+    A flow evaluates every preselected cluster under every designer
+    resource set, so what does not depend on the set is done once per
+    cluster: {!prepare} serializes the statement half of the key, and
+    the segment DFGs and uP model ({!Candidate.prepare}) are built on
+    the cluster's first miss, so a warm flow never builds them.
 
     The cache is process-global on purpose: ablation sweeps re-run the
     whole flow per sweep point, and every (cluster × resource set) pair
@@ -52,32 +58,37 @@ type initial_stats = {
     callers assert exactly, is unaffected by initial-simulation
     probes. *)
 
-val fingerprint :
+type prepared
+(** One cluster under one profile, ready to be keyed and evaluated
+    under any resource set. Safe to share between domains. *)
+
+val prepare : profile:int array -> Lp_cluster.Cluster.t -> prepared
+
+val key :
   ?platform:Lp_tech.Platform.t ->
   scheduler:Candidate.scheduler ->
-  profile:int array ->
-  Lp_cluster.Cluster.t ->
+  prepared ->
   Lp_tech.Resource_set.t ->
   string
-(** Digest of the evaluation inputs (16 raw bytes, not printable).
-    [platform] (default sparclite) keys the entry to the uP platform it
-    was evaluated under, making cross-platform hits impossible; the
-    default platform serializes to {e nothing}, so sparclite keys are
-    byte-identical to pre-platform keys and existing on-disk caches
-    stay valid. *)
+(** Digest of the evaluation inputs (16 raw bytes, not printable): the
+    platform block, the scheduler, the set's bindings, then the
+    statement half {!prepare} serialized. [platform] (default
+    sparclite) keys the entry to the uP platform it was evaluated
+    under, making cross-platform hits impossible; the default platform
+    serializes to {e nothing}, so sparclite keys are byte-identical to
+    pre-platform keys and existing on-disk caches stay valid. *)
 
 val evaluate :
   ?platform:Lp_tech.Platform.t ->
   ?scheduler:Candidate.scheduler ->
-  profile:int array ->
   e_trans_j:float ->
-  Lp_cluster.Cluster.t ->
+  prepared ->
   Lp_tech.Resource_set.t ->
   Candidate.t option
-(** Caching {!Candidate.evaluate}. Safe to call concurrently from many
-    domains; two domains racing on the same cold key both compute it
-    and the results (being equal) overwrite each other harmlessly.
-    [platform] enters the key (see {!fingerprint}), not the
+(** Caching {!Candidate.evaluate_prepared}. Safe to call concurrently
+    from many domains; two domains racing on the same cold key both
+    compute it and the results (being equal) overwrite each other
+    harmlessly. [platform] enters the key (see {!key}), not the
     evaluation — the ASIC datapath model is independent of the uP
     platform. *)
 

@@ -1,63 +1,21 @@
-module Int_heap = struct
-  (* Minimal binary min-heap over ints, for deterministic Kahn ordering. *)
-  type t = int Vec.t
-
-  let create () : t = Vec.create ()
-
-  let swap h i j =
-    let x = Vec.get h i in
-    Vec.set h i (Vec.get h j);
-    Vec.set h j x
-
-  let push h x =
-    Vec.push h x;
-    let i = ref (Vec.length h - 1) in
-    while !i > 0 && Vec.get h ((!i - 1) / 2) > Vec.get h !i do
-      swap h ((!i - 1) / 2) !i;
-      i := (!i - 1) / 2
-    done
-
-  let pop h =
-    if Vec.is_empty h then None
-    else begin
-      let top = Vec.get h 0 in
-      let last = Option.get (Vec.pop h) in
-      let n = Vec.length h in
-      if n > 0 then begin
-        Vec.set h 0 last;
-        let i = ref 0 in
-        let continue = ref true in
-        while !continue do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let smallest = ref !i in
-          if l < n && Vec.get h l < Vec.get h !smallest then smallest := l;
-          if r < n && Vec.get h r < Vec.get h !smallest then smallest := r;
-          if !smallest = !i then continue := false
-          else begin
-            swap h !i !smallest;
-            i := !smallest
-          end
-        done
-      end;
-      Some top
-    end
-end
-
 let sort g =
   let n = Digraph.node_count g in
   let indeg = Array.init n (Digraph.in_degree g) in
-  let heap = Int_heap.create () in
+  (* Kahn's algorithm over a min-heap, for the smallest-id tie-break. *)
+  let heap = Int_heap.create n in
   Array.iteri (fun v d -> if d = 0 then Int_heap.push heap v) indeg;
   let rec loop acc seen =
-    match Int_heap.pop heap with
-    | None -> if seen = n then Some (List.rev acc) else None
-    | Some v ->
-        List.iter
-          (fun w ->
-            indeg.(w) <- indeg.(w) - 1;
-            if indeg.(w) = 0 then Int_heap.push heap w)
-          (Digraph.succs g v);
-        loop (v :: acc) (seen + 1)
+    if Int_heap.is_empty heap then
+      if seen = n then Some (List.rev acc) else None
+    else begin
+      let v = Int_heap.pop heap in
+      List.iter
+        (fun w ->
+          indeg.(w) <- indeg.(w) - 1;
+          if indeg.(w) = 0 then Int_heap.push heap w)
+        (Digraph.succs g v);
+      loop (v :: acc) (seen + 1)
+    end
   in
   loop [] 0
 

@@ -15,21 +15,85 @@ let mux_slice_geq = 96
 let fsm_state_geq = 12
 let control_base_geq = 250
 
-(* Values alive across a control-step boundary need a register: count
-   edges (u, v) with finish(u) <= t < start(v) for each boundary t and
-   take the maximum. *)
+(* Values alive across a control-step boundary need a register: edge
+   (u, v) holds one at every boundary t with finish(u) <= t < start(v).
+   Each edge adds +1 where its interval opens and -1 where it closes, so
+   one prefix sum over the steps gives the live count at each boundary;
+   the registers needed are its maximum. O(V + E + L). *)
 let max_live (sched : Sched.t) =
   let g = Lp_ir.Dfg.graph sched.Sched.dfg in
-  let best = ref 0 in
-  for t = 0 to sched.Sched.length - 1 do
-    let live = ref 0 in
-    Digraph.iter_edges
-      (fun u v ->
-        if Sched.finish sched u <= t && sched.Sched.start.(v) > t then incr live)
-      g;
+  let len = sched.Sched.length and start = sched.Sched.start in
+  let delta = Array.make (len + 1) 0 in
+  let rec open_edges lo = function
+    | [] -> ()
+    | v :: rest ->
+        let hi = min len start.(v) in
+        if lo < hi then begin
+          delta.(lo) <- delta.(lo) + 1;
+          delta.(hi) <- delta.(hi) - 1
+        end;
+        open_edges lo rest
+  in
+  for u = 0 to Digraph.node_count g - 1 do
+    open_edges (max 0 (Sched.finish sched u)) (Digraph.succs g u)
+  done;
+  let best = ref 0 and live = ref 0 in
+  for t = 0 to len - 1 do
+    live := !live + delta.(t);
     if !live > !best then best := !live
   done;
   !best
+
+(* Mux slices of one segment: every distinct producer beyond the first
+   that feeds an instance costs a 2:1 slice on that instance's input.
+   A producer is the instance its node is bound to; a node with no
+   binding counts as a producer of its own. Instances and producers get
+   dense int codes; the consumers of each instance are linked through
+   [next], and [seen] stamps a producer with the instance whose inputs
+   last counted it. O(V + E). *)
+let mux_slices (s : Bind.segment_schedule) bound =
+  let g = Lp_ir.Dfg.graph s.Bind.sched.Sched.dfg in
+  let n = Digraph.node_count g in
+  let stride =
+    1
+    + List.fold_left
+        (fun acc (_, (i : Bind.instance)) -> max acc i.Bind.index)
+        0 bound
+  in
+  let n_insts = Resource.n_kinds * stride in
+  let producer = Array.make n (-1) in
+  let first = Array.make n_insts (-1) and next = Array.make n (-1) in
+  List.iter
+    (fun (v, (i : Bind.instance)) ->
+      let c = (Resource.kind_index i.Bind.res_kind * stride) + i.Bind.index in
+      producer.(v) <- c;
+      next.(v) <- first.(c);
+      first.(c) <- v)
+    bound;
+  let seen = Array.make (n_insts + n) (-1) in
+  let consumer = ref 0 and distinct = ref 0 in
+  let rec count_inputs = function
+    | [] -> ()
+    | u :: rest ->
+        let src = if producer.(u) >= 0 then producer.(u) else n_insts + u in
+        if seen.(src) <> !consumer then begin
+          seen.(src) <- !consumer;
+          incr distinct
+        end;
+        count_inputs rest
+  in
+  let slices = ref 0 in
+  for c = 0 to n_insts - 1 do
+    consumer := c;
+    distinct := 0;
+    let v = ref first.(c) in
+    while !v >= 0 do
+      count_inputs (Digraph.preds g !v);
+      v := next.(!v)
+    done;
+    if !distinct > 1 then slices := !slices + !distinct - 1
+  done;
+  !slices
 
 let generate (bind : Bind.result) segments =
   let fus = bind.Bind.instances in
@@ -37,39 +101,10 @@ let generate (bind : Bind.result) segments =
   let pipeline_regs =
     List.fold_left (fun acc s -> max acc (max_live s.Bind.sched)) 0 segments
   in
-  (* Mux slices: every distinct producer beyond the first that feeds an
-     instance costs a 2:1 slice on that instance's input. *)
   let mux_inputs = ref 0 in
   List.iteri
-    (fun seg_i (s : Bind.segment_schedule) ->
-      ignore s;
-      let bound = bind.Bind.binding.(seg_i) in
-      let feeders = Hashtbl.create 16 in
-      List.iter
-        (fun (v, (inst : Bind.instance)) ->
-          let g =
-            Lp_ir.Dfg.graph (List.nth segments seg_i).Bind.sched.Sched.dfg
-          in
-          List.iter
-            (fun u ->
-              let key = (inst.Bind.res_kind, inst.Bind.index) in
-              let srcs =
-                Option.value ~default:[] (Hashtbl.find_opt feeders key)
-              in
-              let src =
-                match List.assoc_opt u bound with
-                | Some i -> (i.Bind.res_kind, i.Bind.index)
-                | None -> (Resource.Mover, -1 - u)
-              in
-              if not (List.mem src srcs) then
-                Hashtbl.replace feeders key (src :: srcs))
-            (Digraph.preds g v))
-        bound;
-      Hashtbl.iter
-        (fun _ srcs ->
-          let extra = List.length srcs - 1 in
-          if extra > 0 then mux_inputs := !mux_inputs + extra)
-        feeders)
+    (fun seg_i s ->
+      mux_inputs := !mux_inputs + mux_slices s bind.Bind.binding.(seg_i))
     segments;
   let fsm_states =
     List.fold_left (fun acc s -> acc + s.Bind.sched.Sched.length) 0 segments

@@ -11,10 +11,35 @@ type t = {
   length : int;
 }
 
-let min_latency dfg v =
-  match Resource.candidates (Dfg.node_info dfg v).op with
-  | [] -> 1
-  | cands -> List.fold_left (fun acc (_, l) -> min acc l) max_int cands
+(* Operations with the same candidate list schedule alike: they form
+   one class, and each class is resolved against a resource set once per
+   [schedule] call rather than once per node and control step. *)
+let classes, op_class =
+  let lists = ref [] and table = Hashtbl.create 17 in
+  List.iter
+    (fun op ->
+      let cands = Resource.candidates op in
+      let rec index i = function
+        | [] ->
+            lists := !lists @ [ cands ];
+            i
+        | l :: rest -> if l = cands then i else index (i + 1) rest
+      in
+      Hashtbl.replace table op (index 0 !lists))
+    Lp_tech.Op.all;
+  (Array.of_list (List.map Array.of_list !lists), table)
+
+let class_min_latency =
+  Array.map (Array.fold_left (fun acc (_, l) -> min acc l) max_int) classes
+
+let max_latency =
+  Array.fold_left
+    (Array.fold_left (fun acc (_, l) -> max acc l))
+    1 classes
+
+let class_of dfg v = Hashtbl.find op_class (Dfg.node_info dfg v).op
+
+let min_latency dfg v = class_min_latency.(class_of dfg v)
 
 let asap dfg =
   Lp_graph.Paths.longest_from_roots (Dfg.graph dfg) ~weight:(min_latency dfg)
@@ -34,92 +59,183 @@ let mobility dfg =
   let l = alap dfg ~length:len in
   Array.init (Array.length a) (fun i -> l.(i) - a.(i))
 
-let schedule dfg rs =
+module Int_heap = Lp_graph.Int_heap
+
+(* Everything about a DFG that no resource set changes: each node's
+   class, its priority (longest path to a sink, over minimum latencies),
+   its in-degree and its successors in one flat array. *)
+type prepared = {
+  p_dfg : Dfg.t;
+  cls : int array;
+  key : int array;  (** heap key: priority descending, then node id *)
+  indeg : int array;
+  succ_start : int array;  (** successors of [v]: [succ.(succ_start.(v))] .. *)
+  succ : int array;
+  class_size : int array;
+}
+
+let prepare dfg =
   let g = Dfg.graph dfg in
   let n = Digraph.node_count g in
+  let cls = Array.init n (class_of dfg) in
+  let indeg = Array.init n (Digraph.in_degree g) in
+  let succ_start = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    succ_start.(v + 1) <- succ_start.(v) + Digraph.out_degree g v
+  done;
+  let succ = Array.make succ_start.(n) 0 in
+  for v = 0 to n - 1 do
+    List.iteri (fun i w -> succ.(succ_start.(v) + i) <- w) (Digraph.succs g v)
+  done;
+  let priority =
+    Lp_graph.Paths.longest_to_leaves g ~weight:(fun v ->
+        class_min_latency.(cls.(v)))
+  in
+  let top = Array.fold_left max 0 priority in
+  let class_size = Array.make (Array.length classes) 0 in
+  Array.iter (fun c -> class_size.(c) <- class_size.(c) + 1) cls;
+  {
+    p_dfg = dfg;
+    cls;
+    key = Array.init n (fun v -> ((top - priority.(v)) * n) + v);
+    indeg;
+    succ_start;
+    succ;
+    class_size;
+  }
+
+let prepared_dfg p = p.p_dfg
+
+let schedule_prepared p rs =
+  let dfg = p.p_dfg in
+  let n = Array.length p.cls in
   if n = 0 then
     Some { dfg; start = [||]; kind = [||]; latency = [||]; length = 0 }
   else begin
-    (* Feasibility: every op must have a kind available in the set. *)
-    let cands_of v =
-      List.filter
-        (fun (k, _) -> Resource_set.count rs k > 0)
-        (Resource.candidates (Dfg.node_info dfg v).op)
-    in
-    let feasible = ref true in
-    for v = 0 to n - 1 do
-      if cands_of v = [] then feasible := false
+    let n_classes = Array.length classes in
+    (* Per kind of [rs], the step each instance is busy until; per class
+       present in the DFG, the kinds of [rs] that can run it (smallest
+       first, as [Resource.candidates] lists them) with their
+       latencies. *)
+    let busy = Array.make Resource.n_kinds [||] in
+    List.iter
+      (fun (k, cnt) -> busy.(Resource.kind_index k) <- Array.make cnt 0)
+      (Resource_set.bindings rs);
+    let feasible = Array.make n_classes [||] in
+    let infeasible = ref false in
+    for c = 0 to n_classes - 1 do
+      if p.class_size.(c) > 0 then begin
+        let ks =
+          Array.of_list
+            (List.filter_map
+               (fun (k, lat) ->
+                 let insts = busy.(Resource.kind_index k) in
+                 if Array.length insts > 0 then Some (k, lat, insts) else None)
+               (Array.to_list classes.(c)))
+        in
+        if Array.length ks = 0 then infeasible := true;
+        feasible.(c) <- ks
+      end
     done;
-    if not !feasible then None
+    if !infeasible then None
     else begin
-      (* Priority: longest path to a sink (higher = more urgent). *)
-      let priority =
-        Lp_graph.Paths.longest_to_leaves g ~weight:(min_latency dfg)
-      in
+      let cls = p.cls and key = p.key and succ = p.succ
+      and succ_start = p.succ_start in
+      let heap = Array.map Int_heap.create p.class_size in
       let start = Array.make n (-1) in
       let kind = Array.make n Resource.Alu in
       let latency = Array.make n 1 in
-      let unscheduled_preds = Array.init n (Digraph.in_degree g) in
+      let preds_left = Array.copy p.indeg in
       let ready_at = Array.make n 0 (* earliest data-ready step *) in
-      (* Per kind: busy-until step of each instance. *)
-      let busy = Hashtbl.create 8 in
-      List.iter
-        (fun (k, cnt) -> Hashtbl.replace busy k (Array.make cnt 0))
-        (Resource_set.bindings rs);
+      (* Nodes whose predecessors are all scheduled wait in a ring of
+         lists until their data is ready: the list of slot [s mod ring]
+         (linked through [next]) holds those ready at step [s], which is
+         at most [max_latency] steps ahead. *)
+      let ring = max_latency + 1 in
+      let pending = Array.make ring (-1) and next = Array.make n (-1) in
+      for v = 0 to n - 1 do
+        if preds_left.(v) = 0 then Int_heap.push heap.(cls.(v)) key.(v)
+      done;
+      let open_class = Array.make n_classes false in
       let scheduled = ref 0 in
       let t = ref 0 in
-      let guard = ref (10 * n * 64) in
-      while !scheduled < n && !guard > 0 do
-        decr guard;
-        let ready =
-          List.filter
-            (fun v ->
-              start.(v) < 0 && unscheduled_preds.(v) = 0 && ready_at.(v) <= !t)
-            (Digraph.nodes g)
-        in
-        let ready =
-          List.sort
-            (fun a b -> compare (priority.(b), a) (priority.(a), b))
-            ready
-        in
-        List.iter
-          (fun v ->
-            (* Smallest compatible kind with an instance free now. *)
-            let rec try_kinds = function
-              | [] -> ()
-              | (k, lat) :: rest -> (
-                  let insts = Hashtbl.find busy k in
-                  let free = ref (-1) in
-                  Array.iteri
-                    (fun i until -> if !free < 0 && until <= !t then free := i)
-                    insts;
-                  match !free with
-                  | -1 -> try_kinds rest
-                  | i ->
-                      insts.(i) <- !t + lat;
-                      start.(v) <- !t;
-                      kind.(v) <- k;
-                      latency.(v) <- lat;
-                      incr scheduled;
-                      List.iter
-                        (fun w ->
-                          unscheduled_preds.(w) <- unscheduled_preds.(w) - 1;
-                          if !t + lat > ready_at.(w) then
-                            ready_at.(w) <- !t + lat)
-                        (Digraph.succs g v))
-            in
-            try_kinds (cands_of v))
-          ready;
+      while !scheduled < n do
+        let now = !t in
+        let slot = now mod ring in
+        let v = ref pending.(slot) in
+        while !v >= 0 do
+          Int_heap.push heap.(cls.(!v)) key.(!v);
+          v := next.(!v)
+        done;
+        pending.(slot) <- -1;
+        for c = 0 to n_classes - 1 do
+          open_class.(c) <- not (Int_heap.is_empty heap.(c))
+        done;
+        (* Visit the ready nodes in priority order across the classes.
+           When a class's most urgent node finds no free instance, no
+           other node of that class can get one in this step (the
+           instances only fill up), so the class closes until the next
+           step. *)
+        let visiting = ref true in
+        while !visiting do
+          let best = ref (-1) in
+          for c = 0 to n_classes - 1 do
+            if
+              open_class.(c)
+              && (!best < 0 || Int_heap.top heap.(c) < Int_heap.top heap.(!best))
+            then best := c
+          done;
+          if !best < 0 then visiting := false
+          else begin
+            let c = !best in
+            let v = Int_heap.top heap.(c) mod n in
+            let ks = feasible.(c) in
+            let placed = ref false and j = ref 0 in
+            while (not !placed) && !j < Array.length ks do
+              let k, lat, insts = ks.(!j) in
+              let i = ref 0 in
+              while !i < Array.length insts && insts.(!i) > now do
+                incr i
+              done;
+              if !i < Array.length insts then begin
+                placed := true;
+                insts.(!i) <- now + lat;
+                start.(v) <- now;
+                kind.(v) <- k;
+                latency.(v) <- lat;
+                incr scheduled;
+                for e = succ_start.(v) to succ_start.(v + 1) - 1 do
+                  let w = succ.(e) in
+                  preds_left.(w) <- preds_left.(w) - 1;
+                  if now + lat > ready_at.(w) then ready_at.(w) <- now + lat;
+                  if preds_left.(w) = 0 then begin
+                    let s = ready_at.(w) mod ring in
+                    next.(w) <- pending.(s);
+                    pending.(s) <- w
+                  end
+                done
+              end
+              else incr j
+            done;
+            if !placed then begin
+              ignore (Int_heap.pop heap.(c));
+              if Int_heap.is_empty heap.(c) then open_class.(c) <- false
+            end
+            else open_class.(c) <- false
+          end
+        done;
         incr t
       done;
-      assert (!scheduled = n);
-      let length =
-        Array.to_list (Array.init n (fun v -> start.(v) + latency.(v)))
-        |> List.fold_left max 0
-      in
-      Some { dfg; start; kind; latency; length }
+      let length = ref 0 in
+      for v = 0 to n - 1 do
+        if start.(v) + latency.(v) > !length then
+          length := start.(v) + latency.(v)
+      done;
+      Some { dfg; start; kind; latency; length = !length }
     end
   end
+
+let schedule dfg rs = schedule_prepared (prepare dfg) rs
 
 let finish s v = s.start.(v) + s.latency.(v)
 

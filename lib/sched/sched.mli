@@ -23,6 +23,28 @@ val schedule : Lp_ir.Dfg.t -> Lp_tech.Resource_set.t -> t option
     operation has no executable kind in [rs]. An empty DFG yields a
     schedule of length 0. *)
 
+(** {2 One DFG under several resource sets}
+
+    The flow schedules each segment DFG under every designer set. What
+    does not depend on the set — each node's candidate kinds and minimum
+    latency, its priority, its in-degree and a flat successor array — is
+    computed once by {!prepare}. {!schedule_prepared} then keeps the
+    nodes whose predecessors are all scheduled in one priority heap per
+    class of operations that share a candidate list, merged at each
+    step: O((V + E) log V + L * C) for V nodes, E edges, a schedule of L
+    steps and the C (at most 8) operation classes. *)
+
+type prepared
+(** A DFG with its set-independent scheduling data. Read-only: one value
+    may be scheduled from several domains at once. *)
+
+val prepare : Lp_ir.Dfg.t -> prepared
+
+val prepared_dfg : prepared -> Lp_ir.Dfg.t
+
+val schedule_prepared : prepared -> Lp_tech.Resource_set.t -> t option
+(** [schedule_prepared (prepare dfg) rs] is [schedule dfg rs]. *)
+
 val asap : Lp_ir.Dfg.t -> int array
 (** Unconstrained as-soon-as-possible start times (minimum latency per
     op over all kinds). *)

@@ -15,6 +15,19 @@ let all_kinds =
     Mem_port;
   ]
 
+let kind_index = function
+  | Mover -> 0
+  | Comparator -> 1
+  | Logic_unit -> 2
+  | Adder -> 3
+  | Shifter -> 4
+  | Alu -> 5
+  | Multiplier -> 6
+  | Divider -> 7
+  | Mem_port -> 8
+
+let n_kinds = List.length all_kinds
+
 let equal_kind (a : kind) (b : kind) = a = b
 
 let compare_kind (a : kind) (b : kind) = Stdlib.compare a b

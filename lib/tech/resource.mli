@@ -20,6 +20,13 @@ type kind =
 
 val all_kinds : kind list
 
+val kind_index : kind -> int
+(** Position of the kind in {!all_kinds}: a dense index for per-kind
+    arrays. *)
+
+val n_kinds : int
+(** [List.length all_kinds]. *)
+
 val equal_kind : kind -> kind -> bool
 
 val compare_kind : kind -> kind -> int

@@ -113,6 +113,9 @@ let test_schema () =
       "parallel_speedup_paper";
       "memo_warm_speedup";
     ];
+  Alcotest.(check bool)
+    "cand_eval_us > 0 (candidate-evaluation rung)" true
+    (num flow "cand_eval_us" > 0.0);
   (* The paper-app parallel figure is only meaningful when some app's
      candidate fan-out reaches the pool threshold; below it the flow
      never dispatches to the pool and the file must say so rather than

@@ -242,11 +242,13 @@ let test_memo_hit () =
   let profile, cluster = eval_fixture () in
   let rset = Lp_tech.Resource_set.medium_dsp in
   Memo.reset ();
-  let first = Memo.evaluate ~profile ~e_trans_j:1e-6 cluster rset in
+  let first = Memo.evaluate ~e_trans_j:1e-6 (Memo.prepare ~profile cluster) rset in
   let s1 = Memo.stats () in
   Alcotest.(check int) "first call misses" 1 s1.Memo.misses;
   Alcotest.(check int) "no hit yet" 0 s1.Memo.hits;
-  let second = Memo.evaluate ~profile ~e_trans_j:1e-6 cluster rset in
+  let second =
+    Memo.evaluate ~e_trans_j:1e-6 (Memo.prepare ~profile cluster) rset
+  in
   let s2 = Memo.stats () in
   Alcotest.(check int) "second call hits" 1 s2.Memo.hits;
   Alcotest.(check int) "no extra miss" 1 s2.Memo.misses;
@@ -272,8 +274,8 @@ let test_memo_restamps_transfer_energy () =
   let profile, cluster = eval_fixture () in
   let rset = Lp_tech.Resource_set.medium_dsp in
   Memo.reset ();
-  let _ = Memo.evaluate ~profile ~e_trans_j:1e-6 cluster rset in
-  match Memo.evaluate ~profile ~e_trans_j:5e-5 cluster rset with
+  let _ = Memo.evaluate ~e_trans_j:1e-6 (Memo.prepare ~profile cluster) rset in
+  match Memo.evaluate ~e_trans_j:5e-5 (Memo.prepare ~profile cluster) rset with
   | Some c ->
       Alcotest.(check int) "served from cache" 1 (Memo.stats ()).Memo.hits;
       Alcotest.(check (float 0.0)) "restamped" 5e-5 c.Candidate.e_trans_j
@@ -283,24 +285,54 @@ let test_memo_key_sensitivity () =
   let profile, cluster = eval_fixture () in
   Memo.reset ();
   let _ =
-    Memo.evaluate ~profile ~e_trans_j:0.0 cluster Lp_tech.Resource_set.tiny
+    Memo.evaluate ~e_trans_j:0.0 (Memo.prepare ~profile cluster)
+      Lp_tech.Resource_set.tiny
   in
   let _ =
-    Memo.evaluate ~profile ~e_trans_j:0.0 cluster Lp_tech.Resource_set.small
+    Memo.evaluate ~e_trans_j:0.0 (Memo.prepare ~profile cluster)
+      Lp_tech.Resource_set.small
   in
   let _ =
-    Memo.evaluate ~scheduler:(Candidate.Fds 1.0) ~profile ~e_trans_j:0.0
-      cluster Lp_tech.Resource_set.small
+    Memo.evaluate ~scheduler:(Candidate.Fds 1.0) ~e_trans_j:0.0
+      (Memo.prepare ~profile cluster)
+      Lp_tech.Resource_set.small
   in
   let doubled = Array.map (fun n -> 2 * n) profile in
   let _ =
-    Memo.evaluate ~profile:doubled ~e_trans_j:0.0 cluster
+    Memo.evaluate ~e_trans_j:0.0
+      (Memo.prepare ~profile:doubled cluster)
       Lp_tech.Resource_set.small
   in
   let s = Memo.stats () in
   Alcotest.(check int)
     "resource set, scheduler and profile all key the cache" 4 s.Memo.misses;
   Alcotest.(check int) "no spurious hits" 0 s.Memo.hits
+
+(* Persisted entries are named by their keys, so preparing clusters once
+   per flow must not move a single key byte: one digest over every
+   cluster x default set key of the six apps, recorded before the
+   statement half of the key was hoisted out of the per-set loop. *)
+let test_memo_key_pin () =
+  let keys = Buffer.create 4096 and n = ref 0 in
+  List.iter
+    (fun (e : Lp_apps.Apps.entry) ->
+      let p = e.Lp_apps.Apps.build () in
+      let profile = (Lp_ir.Interp.run p).Lp_ir.Interp.profile in
+      List.iter
+        (fun c ->
+          let prepared = Memo.prepare ~profile c in
+          List.iter
+            (fun rs ->
+              incr n;
+              Buffer.add_string keys
+                (Memo.key ~scheduler:Candidate.List_sched prepared rs))
+            Lp_tech.Resource_set.default_sets)
+        (Cluster.decompose p))
+    Lp_apps.Apps.all;
+  Alcotest.(check int) "keys" 136 !n;
+  Alcotest.(check string) "digest over all keys"
+    "b31098aa31697eae674bd5007b258708"
+    (Digest.to_hex (Digest.string (Buffer.contents keys)))
 
 let () =
   Alcotest.run "lp_parallel"
@@ -339,5 +371,6 @@ let () =
           Alcotest.test_case "transfer energy restamped" `Quick
             test_memo_restamps_transfer_energy;
           Alcotest.test_case "key sensitivity" `Quick test_memo_key_sensitivity;
+          Alcotest.test_case "key bytes pinned" `Quick test_memo_key_pin;
         ] );
     ]
