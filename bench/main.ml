@@ -549,16 +549,6 @@ let stage_timings () =
       time_stage ~reps (fun () ->
           Memo.reset ();
           Flow.run ~options:seq_options ~name:"digs16" digs_small) );
-    (* The parallel figure is the steady-state cost of one run: the
-       worker pool is built once outside the timed region and injected,
-       the way a sweep or the service daemon would hold one across
-       requests. Pool spin-up (~1 ms) would otherwise dominate a
-       several-ms flow and misattribute a fixed cost to every run. *)
-    ( "full-flow-par",
-      Lp_parallel.Pool.with_pool ~domains:(Flow.default_jobs - 1) (fun pool ->
-          time_stage ~reps (fun () ->
-              Memo.reset ();
-              Flow.run ~pool ~name:"digs16" digs_small)) );
     ( "full-flow-warm",
       time_stage ~reps (fun () -> Flow.run ~name:"digs16" digs_small) );
   ]
@@ -669,15 +659,7 @@ let sim_metrics () =
   let interp_ms = time_stage ~reps (fun () -> Lp_ir.Interp.run mpg) in
   let digs_small = Lp_apps.Digs.program ~width:16 () in
   let config = System.default_config in
-  let key = Memo.initial_fingerprint ~config digs_small in
-  let initial_once () =
-    match Memo.find_initial key with
-    | Some r -> r
-    | None ->
-        let r = System.run ~config digs_small in
-        Memo.store_initial key r;
-        r
-  in
+  let initial_once () = Memo.initial_report ~config digs_small in
   Memo.reset ();
   let _, cold_s = wall initial_once in
   let warm_ms = time_stage ~reps initial_once in
@@ -760,8 +742,7 @@ let rec speed ?(smoke = false) () =
     Printf.printf
       "  note: candidate fan-out per app (max %d pairs) is below the pool \
        threshold (%d);\n\
-      \  full-flow-par and parallel_speedup measure pool bookkeeping, not \
-       speedup.\n"
+      \  parallel_speedup measures pool bookkeeping, not speedup.\n"
       max_pairs Flow.pool_threshold;
   let sm = sim_metrics () in
   Printf.printf
@@ -820,12 +801,7 @@ let rec speed ?(smoke = false) () =
           j_arr
             (List.map
                (fun (name, ms) ->
-                 j_obj
-                   ([ ("name", j_str name); ("ms_per_run", j_float ms) ]
-                   @
-                   if String.equal name "full-flow-par" && below_pool then
-                     [ ("below_pool_threshold", "true") ]
-                   else []))
+                 j_obj [ ("name", j_str name); ("ms_per_run", j_float ms) ])
                stages) );
         ( "sim",
           j_obj
@@ -1438,15 +1414,6 @@ let explore_bench ?(smoke = false) () =
    under .lowpart-bench/<run_id>/task_logs/. Results merge into
    BENCH_flow.json under a "corpus" key. --- *)
 
-let mkdir_p path =
-  let rec go p =
-    if not (Sys.file_exists p) then begin
-      go (Filename.dirname p);
-      (try Unix.mkdir p 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-    end
-  in
-  go path
-
 let corpus_run_id () =
   let t = Unix.localtime (Unix.gettimeofday ()) in
   Printf.sprintf "%04d%02d%02d-%02d%02d%02d-%d" (t.Unix.tm_year + 1900)
@@ -1533,7 +1500,7 @@ let corpus_bench ?(smoke = false) () =
         (String.concat "\n  - " drift));
   let run_id = corpus_run_id () in
   let log_dir = Filename.concat (Filename.concat ".lowpart-bench" run_id) "task_logs" in
-  mkdir_p log_dir;
+  Lp_core.Store.mkdir_p log_dir;
   let tasks =
     if smoke then [ "gen:paper:1"; "gen:deep:1" ]
     else

@@ -24,9 +24,7 @@ let default_jobs = max 1 (min 8 (Domain.recommended_domain_count ()))
    runs sequentially even when [jobs > 1]: spinning up a domain pool
    costs on the order of a millisecond, while a single memoized
    evaluation is tens of microseconds (and a warm one, microseconds) —
-   a small fan-out finishes before the workers would. Irrelevant when
-   the caller injects a [?pool]: an existing pool costs nothing to
-   use. *)
+   a small fan-out finishes before the workers would. *)
 let pool_threshold = 32
 
 let default_options =
@@ -259,7 +257,7 @@ let verify_or_fail ~what expected got =
             "%s: outputs diverge (%d reference values, %d observed)" what
             (List.length expected) (List.length got)))
 
-let run ?(options = default_options) ?pool ?cancel ~name program =
+let run ?(options = default_options) ?cancel ~name program =
   (* Per-stage wall times, accumulated by canonical stage rank ([Verify]
      runs twice — after each simulation — and accumulates). Durations
      come from [Lp_trace.timed_span], i.e. from the same clock samples
@@ -280,22 +278,6 @@ let run ?(options = default_options) ?pool ?cancel ~name program =
     match cancel with
     | Some c -> Lp_parallel.Cancel.check c
     | None -> ()
-  in
-  (* The initial ("I") simulation is pure in (program, config) and is
-     memoized whole. On a cold key with an injected pool it is submitted
-     first, so it overlaps with profiling, decomposition and
-     pre-selection, and the [Simulate_initial] stage below measures the
-     caller's {e wait} for it. Without a pool it runs inline in that
-     stage: profiling is too short for a scratch domain to repay its
-     spawn, and each spawn grew the process's peak RSS. *)
-  let init_key = Memo.initial_fingerprint ~config:options.config program in
-  let initial_cached = Memo.find_initial init_key in
-  let initial_sim () = System.run ~config:options.config program in
-  let initial_job =
-    match (initial_cached, pool) with
-    | Some r, _ -> `Done r
-    | None, Some pool -> `Future (Lp_parallel.Pool.submit pool initial_sim)
-    | None, None -> `Inline
   in
   (* Steps 1-2: profile and decompose. *)
   let { prof_counts = profile; prof_outputs = reference_outputs } =
@@ -319,17 +301,11 @@ let run ?(options = default_options) ?pool ?cancel ~name program =
           pre_clusters = Preselect.pre_select pre ~profile ~n_max:options.n_max;
         })
   in
-  (* Initial design simulation (the "I" rows of Table 1). *)
+  (* Initial design simulation (the "I" rows of Table 1), pure in
+     (program, config) and memoized whole. *)
   let initial =
     stage Simulate_initial (fun () ->
-        let initial =
-          match initial_job with
-          | `Done r -> r
-          | `Future f -> Lp_parallel.Pool.await f
-          | `Inline -> initial_sim ()
-        in
-        if initial_cached = None then Memo.store_initial init_key initial;
-        initial)
+        Memo.initial_report ~config:options.config program)
   in
   stage Verify (fun () ->
       if options.verify_outputs then
@@ -366,16 +342,11 @@ let run ?(options = default_options) ?pool ?cancel ~name program =
             prepared rset
         in
         let evaluated =
-          match pool with
-          | Some pool -> Lp_parallel.Pool.map ?cancel pool eval pairs
-          | None ->
-              if
-                options.jobs <= 1
-                || Array.length pairs < options.pool_threshold
-              then Array.map eval pairs
-              else
-                Lp_parallel.Pool.with_pool ~domains:(options.jobs - 1)
-                  (fun pool -> Lp_parallel.Pool.map ?cancel pool eval pairs)
+          if options.jobs <= 1 || Array.length pairs < options.pool_threshold
+          then Array.map eval pairs
+          else
+            Lp_parallel.Pool.with_pool ~domains:(options.jobs - 1) (fun pool ->
+                Lp_parallel.Pool.map ?cancel pool eval pairs)
         in
         let kept =
           Array.to_list evaluated

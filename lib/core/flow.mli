@@ -38,16 +38,15 @@ type options = {
           (cluster × resource set) evaluations run on a
           {!Lp_parallel.Pool} of [jobs - 1] worker domains plus the
           caller. [1] = fully sequential. Results are deterministic —
-          identical to the sequential order — for any value. It does not
-          move the initial simulation off the caller: only an injected
-          [?pool] overlaps it with profiling. Default: {!default_jobs}. *)
+          identical to the sequential order — for any value. Default:
+          {!default_jobs}. *)
   pool_threshold : int;
       (** minimum (cluster × resource set) fan-out for which [run]
-          creates its own worker pool when no [?pool] is injected;
-          below it evaluation is sequential because a memoized
-          evaluation (~tens of µs) is far cheaper than pool spin-up
-          (~1 ms). Default: {!pool_threshold}. Sweeping callers — the
-          explorer, the service daemon — tune it per workload. *)
+          creates a worker pool; below it evaluation is sequential
+          because a memoized evaluation (~tens of µs) is far cheaper
+          than pool spin-up (~1 ms). Default: {!pool_threshold}.
+          Sweeping callers — the explorer, the service daemon — tune
+          it per workload. *)
 }
 
 val default_jobs : int
@@ -165,27 +164,21 @@ exception Cancelled of string
 
 val run :
   ?options:options ->
-  ?pool:Lp_parallel.Pool.t ->
   ?cancel:Lp_parallel.Cancel.t ->
   name:string ->
   Lp_ir.Ast.program ->
   result
-(** Run the whole flow. With [?pool] the candidate fan-out and the
-    overlapped initial simulation run on the caller's pool — repeated
-    runs (sweeps, benchmarks, the service daemon) amortize domain
-    spin-up across calls. Without it a scratch pool is created only
-    when [options.jobs > 1] {e and} the fan-out is large enough to
+(** Run the whole flow. The candidate fan-out runs on a scratch pool
+    only when [options.jobs > 1] {e and} the fan-out is large enough to
     repay pool construction (see [pool_threshold]); small design
-    spaces run sequentially. The initial ("I") simulation is memoized
-    via {!Memo.find_initial} keyed on program × system config. On a
-    cold key it runs on the injected pool concurrently with profiling
-    and pre-selection; without [?pool] it runs inline, after
-    pre-selection.
+    spaces run sequentially. The initial ("I") simulation runs inline
+    after pre-selection, memoized by {!Memo.initial_report} on
+    program × system config.
 
     With [?cancel], the token is polled at every stage boundary and
     per candidate evaluation (per pool chunk when parallel); a fired
     token aborts the flow at the next checkpoint with {!Cancelled},
-    leaving any injected pool and the memo fully usable. The two
+    leaving the memo fully usable. The two
     system co-simulations are the only long uninterruptible sections.
     @raise Cancelled when [cancel] fires mid-flow.
     @raise Verification_failed when the partitioned system's outputs

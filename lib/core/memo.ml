@@ -243,21 +243,19 @@ let initial_fingerprint ~(config : System.config) (p : Ast.program) =
 
 (* --- the cache --------------------------------------------------- *)
 
-let lock = Mutex.create ()
-let table : (string, Candidate.t option) Hashtbl.t = Hashtbl.create 256
-let hits = ref 0
-let misses = ref 0
-let disk_hits = ref 0
+(* Two tiers, so that candidate hit/miss statistics — which callers and
+   tests assert exactly — are not perturbed by initial-simulation
+   probes. Both persist under one directory: their keys are digests of
+   tag-prefixed serializations, so they never name the same file. *)
+let candidates : Candidate.t option Store.t = Store.create ~tag:"cand"
+let initials : System.report Store.t = Store.create ~tag:"init"
 
-(* The initial-report tier keeps its own table and counters: candidate
-   hit/miss statistics are asserted exactly by callers and tests, and an
-   initial-simulation probe must not perturb them. *)
-let initial_table : (string, System.report) Hashtbl.t = Hashtbl.create 16
-let initial_hits = ref 0
-let initial_misses = ref 0
-let initial_disk_hits = ref 0
-
-type stats = { hits : int; misses : int; entries : int; disk_hits : int }
+type stats = Store.stats = {
+  hits : int;
+  misses : int;
+  entries : int;
+  disk_hits : int;
+}
 
 type initial_stats = {
   initial_hits : int;
@@ -266,27 +264,16 @@ type initial_stats = {
   initial_disk_hits : int;
 }
 
-let locked f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
-let stats () =
-  locked (fun () ->
-      {
-        hits = !hits;
-        misses = !misses;
-        entries = Hashtbl.length table;
-        disk_hits = !disk_hits;
-      })
+let stats () = Store.stats candidates
 
 let initial_stats () =
-  locked (fun () ->
-      {
-        initial_hits = !initial_hits;
-        initial_misses = !initial_misses;
-        initial_entries = Hashtbl.length initial_table;
-        initial_disk_hits = !initial_disk_hits;
-      })
+  let s = Store.stats initials in
+  {
+    initial_hits = s.hits;
+    initial_misses = s.misses;
+    initial_entries = s.entries;
+    initial_disk_hits = s.disk_hits;
+  }
 
 let hit_rate () =
   let s = stats () in
@@ -294,187 +281,39 @@ let hit_rate () =
   if total = 0 then 0.0 else float_of_int s.hits /. float_of_int total
 
 let reset () =
-  locked (fun () ->
-      Hashtbl.reset table;
-      hits := 0;
-      misses := 0;
-      disk_hits := 0;
-      Hashtbl.reset initial_table;
-      initial_hits := 0;
-      initial_misses := 0;
-      initial_disk_hits := 0)
+  Store.reset candidates;
+  Store.reset initials
 
-(* --- persistence -------------------------------------------------- *)
-
-(* One file per entry under [root/v<N>], named by the hex fingerprint.
-   The payload is a Marshal'd [(key, value)] pair behind a magic line
-   that also pins the producing compiler — Marshal is not stable across
-   OCaml versions, and a layout change of any cached type is exactly
-   what the directory version exists to invalidate. A reader that finds
-   anything unexpected (bad magic, short file, Marshal failure, key
-   mismatch) treats the entry as absent and deletes it: a torn or
-   corrupt file must cost one recomputation, never an error. Writers
-   create a unique temp file in the same directory and [Sys.rename] it
-   into place, so concurrent domains (or daemons sharing the
-   directory) only ever publish whole entries. *)
-
-let format_version = 1
-
-let magic = Printf.sprintf "lowpart-memo/%d ocaml-%s\n" format_version Sys.ocaml_version
-
-(* Behind [lock], like the counters. *)
-let persist_root = ref None
-
-let mkdir_p dir =
-  let rec go d =
-    if not (Sys.file_exists d) then begin
-      go (Filename.dirname d);
-      try Sys.mkdir d 0o755 with Sys_error _ -> ()
-    end
-  in
-  go dir
-
+(* v2: entries carry a digest of their payload (see Store). *)
+let format_version = 2
+let persist_root = Atomic.make None
 let entry_dir root = Filename.concat root (Printf.sprintf "v%d" format_version)
 
-let set_persist_dir dir =
-  (match dir with Some root -> mkdir_p (entry_dir root) | None -> ());
-  locked (fun () -> persist_root := dir)
+let set_persist_dir root =
+  let dir = Option.map entry_dir root in
+  Store.set_dir candidates dir;
+  Store.set_dir initials dir;
+  Atomic.set persist_root root
 
-let persist_dir () = locked (fun () -> !persist_root)
-
-let entry_path root key =
-  Filename.concat (entry_dir root) (Digest.to_hex key ^ ".memo")
-
-(* Polymorphic over the payload: candidate entries store a
-   [Candidate.t option], initial-report entries a [System.report]. Keys
-   are digests of tag-prefixed serializations, so the two kinds can
-   never name the same file — a payload is always read back at the type
-   it was written at. *)
-let disk_load root key =
-  let path = entry_path root key in
-  let read () =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let m = really_input_string ic (String.length magic) in
-        if m <> magic then failwith "bad magic";
-        let stored_key, v = Marshal.from_channel ic in
-        if stored_key <> key then failwith "key mismatch";
-        v)
-  in
-  if not (Sys.file_exists path) then None
-  else
-    match read () with
-    | v -> Some v
-    | exception _ ->
-        (try Sys.remove path with Sys_error _ -> ());
-        None
-
-let disk_store root key v =
-  try
-    let dir = entry_dir root in
-    mkdir_p dir;
-    let tmp = Filename.temp_file ~temp_dir:dir ".memo-" ".tmp" in
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc magic;
-        Marshal.to_channel oc (key, v) []);
-    Sys.rename tmp (entry_path root key)
-  with Sys_error _ -> ()
+let persist_dir () = Atomic.get persist_root
 
 let disk_entries () =
   match persist_dir () with
   | None -> 0
-  | Some root -> (
-      match Sys.readdir (entry_dir root) with
-      | files ->
-          Array.fold_left
-            (fun acc f ->
-              if Filename.check_suffix f ".memo" then acc + 1 else acc)
-            0 files
-      | exception Sys_error _ -> 0)
+  | Some root -> Store.count (entry_dir root)
 
-(* Candidates are cached with [e_trans_j] normalised to zero — the
-   transfer energy is not part of the key (it does not influence the
-   schedule, binding or netlist) and is re-stamped per caller. The
-   evaluation itself runs outside the lock so parallel workers only
-   serialise on the table probe. *)
+(* Candidates are cached with [e_trans_j] zero — the transfer energy is
+   not part of the key (it does not influence the schedule, binding or
+   netlist) and is stamped per caller. *)
 let evaluate ?(platform = Platform.sparclite)
     ?(scheduler = Candidate.List_sched) ~e_trans_j p rset =
-  let key = key ~platform ~scheduler p rset in
-  let restamp v = Option.map (fun c -> { c with Candidate.e_trans_j }) v in
-  let cached =
-    locked (fun () ->
-        match Hashtbl.find_opt table key with
-        | Some v ->
-            incr hits;
-            Some v
-        | None -> None)
-  in
-  match cached with
-  | Some v -> restamp v
-  | None -> (
-      (* Memory miss: consult the persistent tier (outside the lock —
-         disk reads must not serialise the other workers). *)
-      let root = locked (fun () -> !persist_root) in
-      let from_disk = Option.bind root (fun r -> disk_load r key) in
-      match from_disk with
-      | Some v ->
-          locked (fun () ->
-              Hashtbl.replace table key v;
-              incr hits;
-              incr disk_hits);
-          restamp v
-      | None ->
-          locked (fun () -> incr misses);
-          let v =
-            Candidate.evaluate_prepared ~scheduler ~e_trans_j
-              (candidate_prepared p) rset
-          in
-          let normalised =
-            Option.map (fun c -> { c with Candidate.e_trans_j = 0.0 }) v
-          in
-          locked (fun () -> Hashtbl.replace table key normalised);
-          Option.iter (fun r -> disk_store r key normalised) root;
-          v)
+  Store.find_or_compute candidates (key ~platform ~scheduler p rset)
+    (fun () ->
+      Candidate.evaluate_prepared ~scheduler ~e_trans_j:0.0
+        (candidate_prepared p) rset)
+  |> Option.map (fun c -> { c with Candidate.e_trans_j })
 
-(* --- initial-report tier ------------------------------------------ *)
-
-(* Unlike [evaluate], probing and storing are split: the flow wants to
-   overlap the (expensive) initial simulation with profiling and
-   pre-selection when the probe misses, so it owns the computation. *)
-
-let find_initial key : System.report option =
-  let cached =
-    locked (fun () ->
-        match Hashtbl.find_opt initial_table key with
-        | Some r ->
-            incr initial_hits;
-            Some r
-        | None -> None)
-  in
-  match cached with
-  | Some _ -> cached
-  | None -> (
-      let root = locked (fun () -> !persist_root) in
-      match Option.bind root (fun r -> disk_load r key) with
-      | Some (r : System.report) ->
-          locked (fun () ->
-              Hashtbl.replace initial_table key r;
-              incr initial_hits;
-              incr initial_disk_hits);
-          Some r
-      | None ->
-          locked (fun () -> incr initial_misses);
-          None)
-
-let store_initial key (r : System.report) =
-  let root =
-    locked (fun () ->
-        Hashtbl.replace initial_table key r;
-        !persist_root)
-  in
-  Option.iter (fun dir -> disk_store dir key r) root
+let initial_report ~config program =
+  Store.find_or_compute initials
+    (initial_fingerprint ~config program)
+    (fun () -> System.run ~config program)

@@ -30,17 +30,18 @@
 
     {2 Persistence}
 
-    With {!set_persist_dir} the cache additionally spills to disk: one
-    file per entry under [dir/v{!format_version}], written atomically
-    (unique temp file + rename), read back on a memory miss. A
-    restarted process — the [lowpart serve] daemon in particular —
-    keeps its warm cache across runs. Corrupt, truncated or
-    foreign-version entries are silently treated as misses (and
-    deleted), never as errors; concurrent writers racing on one key
-    publish whole files and overwrite each other harmlessly, exactly
-    like the in-memory table. *)
+    With {!set_persist_dir} both tiers additionally spill to disk
+    through {!Store}: one checksummed file per entry under
+    [dir/v{!format_version}], published atomically (unique temp file +
+    rename), read back on a memory miss. A restarted process — the
+    [lowpart serve] daemon in particular — keeps its warm cache across
+    runs. An entry whose magic, payload digest or key does not check
+    out is deleted and recomputed, never returned and never an error;
+    concurrent writers racing on one key publish whole files and
+    overwrite each other harmlessly, exactly like the in-memory
+    table. *)
 
-type stats = {
+type stats = Store.stats = {
   hits : int;  (** memory + disk hits *)
   misses : int;
   entries : int;  (** in-memory entries *)
@@ -53,7 +54,7 @@ type initial_stats = {
   initial_entries : int;
   initial_disk_hits : int;
 }
-(** Counters of the initial-report tier (see {!find_initial}) — kept
+(** Counters of the initial-report tier (see {!initial_report}) — kept
     separate from {!stats} so candidate hit/miss accounting, which
     callers assert exactly, is unaffected by initial-simulation
     probes. *)
@@ -102,9 +103,7 @@ val hit_rate : unit -> float
     program and the system configuration, and it is re-run verbatim by
     every ablation sweep point and every warm service request. This
     tier memoizes the whole {!Lp_system.System.report} under a digest
-    of program × config. Probe and store are split (unlike
-    {!evaluate}) so the flow can overlap a cold simulation with
-    profiling and pre-selection. Shares the persistent directory with
+    of program × config. It shares the persistent directory with
     candidate entries; the fingerprint tag keeps the keyspaces
     disjoint. *)
 
@@ -112,15 +111,17 @@ val initial_fingerprint :
   config:Lp_system.System.config -> Lp_ir.Ast.program -> string
 (** Digest of the full program (entry, arrays with init images, all
     functions) and every report-relevant [System.config] field —
-    including the platform, which (like {!fingerprint}) serializes to
+    including the platform, which (like {!key}) serializes to
     nothing when it is sparclite so pre-platform digests are
     unchanged. *)
 
-val find_initial : string -> Lp_system.System.report option
-(** Probe memory, then disk. A disk hit is promoted to memory. *)
-
-val store_initial : string -> Lp_system.System.report -> unit
-(** Publish a computed report to memory and (if enabled) disk. *)
+val initial_report :
+  config:Lp_system.System.config ->
+  Lp_ir.Ast.program ->
+  Lp_system.System.report
+(** [System.run ~config program], memoized under
+    {!initial_fingerprint}: memory, then disk (a disk hit is promoted to
+    memory), then the simulation, whose report is published to both. *)
 
 val initial_stats : unit -> initial_stats
 

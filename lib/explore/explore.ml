@@ -1,6 +1,7 @@
 module Flow = Lp_core.Flow
 module Memo = Lp_core.Memo
 module Candidate = Lp_core.Candidate
+module Store = Lp_core.Store
 module System = Lp_system.System
 module Cache = Lp_cache.Cache
 module Platform = Lp_tech.Platform
@@ -548,78 +549,18 @@ let scope_key ~name ~(base : Flow.options) program =
 
 (* --- the checkpoint journal --------------------------------------- *)
 
-(* One file per completed point under [root/v<N>/<scope>/], named by the
-   point fingerprint; payload is a magic line pinning format version and
-   compiler, then a Marshal'd [(key, (point, metrics))] pair. Writers
-   publish via unique temp file + [Sys.rename]; readers treat anything
-   unexpected (bad magic, torn file, key mismatch) as a miss and delete
-   it — exactly the discipline of the Memo persistent tier, so a killed
-   writer costs one re-evaluation, never an error. *)
+(* One {!Lp_core.Store} entry per completed point under
+   [root/v<N>/<scope>/], keyed by the point fingerprint: a torn or
+   corrupt checkpoint costs one re-evaluation, never an error. *)
 
-(* v2: the [point] record gained a [platform] field (PR 9). Marshal'd
-   v1 entries would be memory-unsafe at the new type, so the version
-   bump orphans them wholesale. *)
-let journal_format_version = 2
+(* v3: entries carry a digest of their payload (see Store). *)
+let journal_format_version = 3
 
-let journal_magic =
-  Printf.sprintf "lowpart-explore/%d ocaml-%s\n" journal_format_version
-    Sys.ocaml_version
-
-type journal = { dir : string }
-
-let mkdir_p dir =
-  let rec go d =
-    if not (Sys.file_exists d) then begin
-      go (Filename.dirname d);
-      try Sys.mkdir d 0o755 with Sys_error _ -> ()
-    end
-  in
-  go dir
-
-let journal_open ~root ~scope =
-  let dir =
-    Filename.concat
-      (Filename.concat root (Printf.sprintf "v%d" journal_format_version))
-      (Digest.to_hex scope)
-  in
-  mkdir_p dir;
-  { dir }
-
-let journal_path j key = Filename.concat j.dir (Digest.to_hex key ^ ".point")
-
-let journal_find j key : (point * metrics) option =
-  let path = journal_path j key in
-  let read () =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let m = really_input_string ic (String.length journal_magic) in
-        if m <> journal_magic then failwith "bad magic";
-        let stored_key, v = Marshal.from_channel ic in
-        if stored_key <> key then failwith "key mismatch";
-        v)
-  in
-  if not (Sys.file_exists path) then None
-  else
-    match read () with
-    | v -> Some v
-    | exception _ ->
-        (try Sys.remove path with Sys_error _ -> ());
-        None
-
-let journal_store j key (entry : point * metrics) =
-  try
-    mkdir_p j.dir;
-    let tmp = Filename.temp_file ~temp_dir:j.dir ".point-" ".tmp" in
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc journal_magic;
-        Marshal.to_channel oc (key, entry) []);
-    Sys.rename tmp (journal_path j key)
-  with Sys_error _ -> ()
+let journal_open ~root ~scope : (point * metrics) Store.disk =
+  Store.disk ~tag:"explore-point"
+    (Filename.concat
+       (Filename.concat root (Printf.sprintf "v%d" journal_format_version))
+       (Digest.to_hex scope))
 
 (* --- the engine --------------------------------------------------- *)
 
@@ -662,7 +603,7 @@ let run ?(strategy = Strategy.grid) ?(seed = 0) ?jobs ?pool ?cancel
   let eval ((p : point), key) =
     let options = { (options_of_point ~base space p) with Flow.jobs = 1 } in
     let m = metrics_of_result (Flow.run ~options ?cancel ~name program) in
-    Option.iter (fun j -> journal_store j key (p, m)) journal;
+    Option.iter (fun j -> Store.save j key (p, m)) journal;
     m
   in
   let run_batch pool_opt batch =
@@ -670,7 +611,7 @@ let run ?(strategy = Strategy.grid) ?(seed = 0) ?jobs ?pool ?cancel
       List.map
         (fun p ->
           let key = point_key space p in
-          match Option.bind journal (fun j -> journal_find j key) with
+          match Option.bind journal (fun j -> Store.load j key) with
           | Some (_, m) -> (p, key, Some m)
           | None -> (p, key, None))
         batch

@@ -29,13 +29,13 @@
     {2 Checkpoints}
 
     With [~journal_dir] every completed point is checkpointed to a
-    versioned on-disk journal (one file per point, written with the
-    same atomic temp-file + rename discipline as the {!Lp_core.Memo}
-    persistent tier). A killed exploration re-run with the same
-    arguments replays finished points from the journal without
-    re-evaluating them — including mid-trajectory points of an adaptive
-    search, whose proposals depend only on the PRNG and the (replayed)
-    observations. *)
+    versioned on-disk journal: one {!Lp_core.Store} entry per point,
+    published atomically and checked by a payload digest, so a torn or
+    corrupt checkpoint is re-evaluated. A killed exploration re-run
+    with the same arguments replays finished points from the journal
+    without re-evaluating them — including mid-trajectory points of an
+    adaptive search, whose proposals depend only on the PRNG and the
+    (replayed) observations. *)
 
 (** One concrete assignment of every explored dimension. [rset],
     [config] and [platform] name an alternative of the space's

@@ -4,7 +4,10 @@
     are never recycled. Edges are ordered pairs; parallel edges are
     collapsed ({!add_edge} is idempotent). The structure keeps both
     successor and predecessor adjacency so forward and backward traversals
-    are O(out-degree) / O(in-degree).
+    are O(out-degree) / O(in-degree); {!add_edge} and {!mem_edge} are
+    amortised O(1), whatever the degree. Reading the neighbours of a
+    node with fewer than 16 of them allocates nothing; a wider node's
+    list is reversed on each read. Concurrent reads are safe.
 
     This is the shared substrate for the operation dataflow graphs, the
     cluster control-flow chain and the netlist connectivity used across

@@ -6,7 +6,7 @@
    program fingerprint preimage ({!Ring}), so repeat requests for the
    same prepared program land on the shard whose in-memory memo is
    already hot. All shards share the persistent disk memo tier and
-   explore journal dirs — safe across processes because {!Lp_core.Memo}
+   explore journal dirs — safe across processes because {!Lp_core.Store}
    publishes entries via atomic temp+rename.
 
    Plumbing per shard: requests are queued and flushed to the worker's

@@ -10,9 +10,10 @@
     requests for the same prepared program hit the shard whose
     in-memory memo is already hot. All shards share the persistent
     disk memo tier and explore journal dirs under one [cache_dir] —
-    cross-process safe because {!Lp_core.Memo} publishes entries by
+    cross-process safe because {!Lp_core.Store} publishes entries by
     atomic temp+rename, so a concurrent reader sees either the old
-    file set or the new one, never a torn entry.
+    file set or the new one, never a torn entry; a corrupt entry fails
+    its digest check and is recomputed.
 
     Per shard the router keeps a bounded in-flight window (the
     admission queue of the fleet): past it, clients get [overloaded]

@@ -132,3 +132,26 @@ let program_arbitrary = QCheck.make ~print:print_program program_gen
 
 let check_outputs what ~expected ~actual =
   Alcotest.(check (list int)) what expected actual
+
+let read_file path =
+  try In_channel.with_open_bin path In_channel.input_all with Sys_error _ -> ""
+
+let corrupt_each_byte path ~expected ~rerun =
+  let orig = read_file path in
+  let check label bytes =
+    Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+    let got = rerun () in
+    if not (String.equal got expected) then
+      Alcotest.failf "%s, %s: the result changed" path label;
+    if not (String.equal (read_file path) orig) then
+      Alcotest.failf "%s, %s: the entry was not rewritten" path label
+  in
+  String.iteri
+    (fun i c ->
+      let b = Bytes.of_string orig in
+      Bytes.set b i (Char.chr (Char.code c lxor (1 lsl (i mod 8))));
+      check (Printf.sprintf "bit flipped in byte %d" i) (Bytes.to_string b))
+    orig;
+  for n = 0 to String.length orig - 1 do
+    check (Printf.sprintf "truncated to %d bytes" n) (String.sub orig 0 n)
+  done

@@ -31,3 +31,10 @@ val program_arbitrary : Lp_ir.Ast.program QCheck.arbitrary
 
 val check_outputs : string -> expected:int list -> actual:int list -> unit
 (** Alcotest assertion on observable-output lists. *)
+
+val corrupt_each_byte :
+  string -> expected:string -> rerun:(unit -> string) -> unit
+(** Fault injection on a persisted entry: for every byte position, write
+    the entry back with one bit of that byte flipped, and then truncated
+    to that length; after each, [rerun ()] must return [expected] and
+    the file must hold the original bytes again. *)

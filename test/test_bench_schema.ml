@@ -66,7 +66,7 @@ let test_schema () =
     (fun required ->
       if not (List.mem required stage_names) then
         Alcotest.failf "stages is missing %S" required)
-    [ "system-sim"; "full-flow-seq"; "full-flow-par"; "full-flow-warm" ];
+    [ "system-sim"; "full-flow-seq"; "full-flow-warm" ];
   (* sim: co-simulation metrics. The MIPS floor is a perf regression
      gate, not just a shape check: the block-compiled engine holds the
      committed figure above the floor on the long-trace workload, and a

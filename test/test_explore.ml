@@ -271,7 +271,7 @@ let test_journal_corruption_is_a_miss () =
           (fun e ->
             let p = Filename.concat dir e in
             if Sys.is_directory p then points p
-            else if Filename.check_suffix p ".point" then [ p ]
+            else if Filename.check_suffix p ".entry" then [ p ]
             else [])
           (Array.to_list (Sys.readdir dir))
       in
@@ -282,7 +282,25 @@ let test_journal_corruption_is_a_miss () =
       close_out oc;
       let r = E.run ~space:subset ~jobs:1 ~journal_dir ~name:"fix" program in
       Alcotest.(check int) "torn checkpoint re-evaluated" 1 r.E.evaluated;
-      Alcotest.(check int) "intact checkpoint replayed" 1 r.E.journal_hits)
+      Alcotest.(check int) "intact checkpoint replayed" 1 r.E.journal_hits;
+      (* Fault injection: every bit-flipped byte and every truncation of
+         one checkpoint costs one re-evaluation and changes nothing but
+         the provenance of that point. *)
+      let log_json () =
+        let r = E.run ~space:subset ~jobs:1 ~journal_dir ~name:"fix" program in
+        let fresh o = { o with E.from_journal = false } in
+        Lp_json.to_string
+          (E.to_json
+             {
+               r with
+               E.log = List.map fresh r.E.log;
+               frontier = List.map fresh r.E.frontier;
+               evaluated = 0;
+               journal_hits = 0;
+             })
+      in
+      Lp_testkit.corrupt_each_byte (List.hd files) ~expected:(log_json ())
+        ~rerun:log_json)
 
 (* Cancellation mid-exploration keeps every completed point in the
    journal; a plain grid resume replays exactly those and evaluates

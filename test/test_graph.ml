@@ -340,6 +340,44 @@ let prop_reachable_closed =
       Digraph.iter_edges (fun u v -> if r.(u) && not r.(v) then ok := false) g;
       !ok)
 
+(* Random inserts (with repeats) and removals on a few nodes, so some
+   reach the wide-node duplicate check: adjacency must match a plain
+   list model in content and insertion order. *)
+let prop_adjacency_model =
+  QCheck.Test.make ~name:"adjacency matches a list model" ~count:200
+    QCheck.(list (triple bool (int_bound 2) (int_bound 40)))
+    (fun ops ->
+      let n = 41 in
+      let g = Digraph.create () in
+      ignore (Digraph.add_nodes g n);
+      let succ = Array.make n [] and pred = Array.make n [] in
+      List.iter
+        (fun (add, u, v) ->
+          if add then begin
+            Digraph.add_edge g u v;
+            if not (List.mem v succ.(u)) then begin
+              succ.(u) <- succ.(u) @ [ v ];
+              pred.(v) <- pred.(v) @ [ u ]
+            end
+          end
+          else begin
+            Digraph.remove_edge g u v;
+            succ.(u) <- List.filter (( <> ) v) succ.(u);
+            pred.(v) <- List.filter (( <> ) u) pred.(v)
+          end)
+        ops;
+      List.for_all
+        (fun v ->
+          Digraph.succs g v = succ.(v)
+          && Digraph.preds g v = pred.(v)
+          && Digraph.out_degree g v = List.length succ.(v)
+          && List.for_all
+               (fun w -> Digraph.mem_edge g v w = List.mem w succ.(v))
+               (Digraph.nodes g))
+        (Digraph.nodes g)
+      && Digraph.edge_count g
+         = Array.fold_left (fun a l -> a + List.length l) 0 succ)
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -401,5 +439,6 @@ let () =
             prop_dag_sccs_singletons;
             prop_transpose_involution;
             prop_reachable_closed;
+            prop_adjacency_model;
           ] );
     ]

@@ -64,19 +64,18 @@ let app = (List.hd Lp_apps.Apps.all).Lp_apps.Apps.name
 (* What the daemon must answer for a defaults [run] — computed through
    the same Protocol entry points the server uses, then compared as
    bytes on the wire. *)
+let direct_run () =
+  let e = Option.get (Lp_apps.Apps.find app) in
+  let options = Protocol.no_options in
+  let program = Protocol.prepare_program options (e.Lp_apps.Apps.build ()) in
+  Lp_report.Export.result_json
+    (Lp_core.Flow.run
+       ~options:(Result.get_ok (Protocol.flow_options options))
+       ~name:app program)
+
 let expected_run_payload =
   lazy
-    (let e = Option.get (Lp_apps.Apps.find app) in
-     let options = Protocol.no_options in
-     let program =
-       Protocol.prepare_program options (e.Lp_apps.Apps.build ())
-     in
-     let r =
-       Lp_core.Flow.run
-         ~options:(Result.get_ok (Protocol.flow_options options))
-         ~name:app program
-     in
-     let s = Lp_report.Export.result_json r in
+    (let s = direct_run () in
      Lp_core.Memo.reset ();
      s)
 
@@ -275,6 +274,34 @@ let test_concurrent_clients () =
             expected got)
         results)
 
+(* The smallest entry of [tag] in a memo directory (the tag ends an
+   entry's magic line). A candidate entry must hold a candidate, not a
+   cached [None]. *)
+let smallest_entry dir tag =
+  let holds_value path =
+    tag <> "cand"
+    ||
+    let key =
+      Digest.from_hex (Filename.chop_suffix (Filename.basename path) ".entry")
+    in
+    let d : Lp_core.Candidate.t option Lp_core.Store.disk =
+      Lp_core.Store.disk ~tag dir
+    in
+    Option.is_some (Option.join (Lp_core.Store.load d key))
+  in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".entry")
+  |> List.map (Filename.concat dir)
+  |> List.filter (fun path ->
+         let line = In_channel.with_open_bin path In_channel.input_line in
+         String.ends_with ~suffix:(" " ^ tag) (Option.value line ~default:"")
+         && holds_value path)
+  |> List.map (fun path -> ((Unix.stat path).Unix.st_size, path))
+  |> List.sort compare
+  |> function
+  | (_, path) :: _ -> path
+  | [] -> Alcotest.failf "no %s entry in %s" tag dir
+
 let test_persistent_cache () =
   let cache = fresh_path ".cache" in
   Fun.protect
@@ -326,7 +353,23 @@ let test_persistent_cache () =
               let stats = Client.rpc c Protocol.Stats in
               Alcotest.(check int)
                 "nothing served from corrupt entries" 0
-                (stats_int stats "memo" "disk_hits"))))
+                (stats_int stats "memo" "disk_hits")));
+      (* Fault injection: every bit-flipped byte and every truncation of
+         one candidate entry and one initial-report entry costs one
+         recomputation — same payload, no exception, entry rewritten. *)
+      Fun.protect
+        ~finally:(fun () ->
+          Lp_core.Memo.set_persist_dir None;
+          Lp_core.Memo.reset ())
+        (fun () ->
+          Lp_core.Memo.set_persist_dir (Some cache);
+          List.iter
+            (fun tag ->
+              Lp_testkit.corrupt_each_byte (smallest_entry dir tag) ~expected
+                ~rerun:(fun () ->
+                  Lp_core.Memo.reset ();
+                  direct_run ()))
+            [ "cand"; "init" ]))
 
 let test_disconnect_mid_run () =
   let expected = Lazy.force expected_run_payload in
