@@ -31,6 +31,7 @@ module System = Lp_system.System
 module Apps = Lp_apps.Apps
 module Tables = Lp_report.Paper_tables
 module Parmap = Lp_parallel.Parmap
+module Json = Lp_json
 
 let section title = Printf.printf "\n== %s ==\n%!" title
 
@@ -421,18 +422,34 @@ let smoke_fail fmt =
       exit 2)
     fmt
 
-let j_str s = "\"" ^ String.concat "\\\"" (String.split_on_char '"' s) ^ "\""
-let j_float x = Printf.sprintf "%.6g" x
+(* BENCH_flow.json in the current directory: [speed] writes the whole
+   document, every other bench replaces one top-level key of it. *)
+let bench_file = "BENCH_flow.json"
 
-let j_obj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> j_str k ^ ":" ^ v) fields) ^ "}"
+let write_bench doc =
+  Out_channel.with_open_bin bench_file (fun oc ->
+      Json.to_channel oc doc;
+      output_char oc '\n')
 
-let j_arr items = "[" ^ String.concat "," items ^ "]"
+let merge_bench_key key value =
+  let fields =
+    if Sys.file_exists bench_file then
+      match Json.parse (In_channel.with_open_bin bench_file In_channel.input_all) with
+      | Ok (Json.Assoc fields) -> List.remove_assoc key fields
+      | Ok _ | Error _ -> []
+    else []
+  in
+  write_bench (Json.Assoc (fields @ [ (key, value) ]));
+  Printf.printf "  merged %s results into %s\n%!" key bench_file
 
 let wall f =
   let t0 = Unix.gettimeofday () in
   let v = f () in
   (v, Unix.gettimeofday () -. t0)
+
+let median samples =
+  let a = Array.of_list (List.sort compare samples) in
+  a.(Array.length a / 2)
 
 (* Median-of-reps wall time of one stage, in milliseconds per run. *)
 let time_stage ~reps f =
@@ -444,14 +461,6 @@ let time_stage ~reps f =
     |> List.sort compare
   in
   1e3 *. List.nth samples (reps / 2)
-
-let cache_stats_json (s : Memo.stats) =
-  j_obj
-    [
-      ("hits", string_of_int s.Memo.hits);
-      ("misses", string_of_int s.Memo.misses);
-      ("entries", string_of_int s.Memo.entries);
-    ]
 
 (* Sequential vs parallel full-flow timing over every application, both
    from a cold candidate cache, plus a warm parallel pass. *)
@@ -790,83 +799,87 @@ let rec speed ?(smoke = false) () =
        (List.map
           (fun (name, s) -> Printf.sprintf " %s %.2fms" name (1e3 *. s))
           pipeline_stage_s));
-  let json =
-    j_obj
+  let doc =
+    Json.Assoc
       [
-        ("schema", j_str "lowpart-bench-flow/1");
-        ("jobs", string_of_int Flow.default_jobs);
+        ("schema", Json.String "lowpart-bench-flow/1");
+        ("jobs", Json.Int Flow.default_jobs);
         ( "apps",
-          j_arr (List.map (fun (e : Apps.entry) -> j_str e.name) Apps.all) );
+          Json.List (List.map (fun (e : Apps.entry) -> Json.String e.name) Apps.all)
+        );
         ( "stages",
-          j_arr
+          Json.List
             (List.map
                (fun (name, ms) ->
-                 j_obj [ ("name", j_str name); ("ms_per_run", j_float ms) ])
+                 Json.Assoc
+                   [ ("name", Json.String name); ("ms_per_run", Json.Float ms) ])
                stages) );
         ( "sim",
-          j_obj
+          Json.Assoc
             [
-              ("interp_msteps", j_float sm.sm_interp_msteps);
-              ("iss_mips", j_float sm.sm_iss_mips);
-              ("system_mips", j_float sm.sm_system_mips);
-              ("iss_workload", j_str sm.sm_workload);
-              ("iss_trace_instrs", string_of_int sm.sm_instrs);
-              ("iss_superops", string_of_int sm.sm_blocks);
-              ("iss_superop_entries", string_of_int sm.sm_block_entries);
-              ("initial_cold_ms", j_float sm.sm_cold_ms);
-              ("initial_warm_ms", j_float sm.sm_warm_ms);
+              ("interp_msteps", Json.Float sm.sm_interp_msteps);
+              ("iss_mips", Json.Float sm.sm_iss_mips);
+              ("system_mips", Json.Float sm.sm_system_mips);
+              ("iss_workload", Json.String sm.sm_workload);
+              ("iss_trace_instrs", Json.Int sm.sm_instrs);
+              ("iss_superops", Json.Int sm.sm_blocks);
+              ("iss_superop_entries", Json.Int sm.sm_block_entries);
+              ("initial_cold_ms", Json.Float sm.sm_cold_ms);
+              ("initial_warm_ms", Json.Float sm.sm_warm_ms);
             ] );
         ( "flow",
-          j_obj
+          Json.Assoc
             [
-              ("sequential_s", j_float seq_s);
-              ("parallel_s", j_float par_s);
-              ("memo_warm_s", j_float warm_s);
+              ("sequential_s", Json.Float seq_s);
+              ("parallel_s", Json.Float par_s);
+              ("memo_warm_s", Json.Float warm_s);
               (* The paper suite's speedup is named for what it is:
                  six tiny apps below the pool threshold. The
                  above-threshold figure lives under the "corpus" key
                  (see corpus_bench) as parallel_speedup. *)
-              ("parallel_speedup_paper", j_float (seq_s /. par_s));
-              ("below_pool_threshold", if below_pool then "true" else "false");
-              ( "max_candidate_pairs",
-                string_of_int max_pairs );
-              ("memo_warm_speedup", j_float (seq_s /. warm_s));
-              ("cand_eval_us", j_float eval_us);
+              ("parallel_speedup_paper", Json.Float (seq_s /. par_s));
+              ("below_pool_threshold", Json.Bool below_pool);
+              ("max_candidate_pairs", Json.Int max_pairs);
+              ("memo_warm_speedup", Json.Float (seq_s /. warm_s));
+              ("cand_eval_us", Json.Float eval_us);
               ( "stages",
-                j_obj
+                Json.Assoc
                   (List.map
-                     (fun (name, s) -> (name, j_float s))
+                     (fun (name, s) -> (name, Json.Float s))
                      pipeline_stage_s) );
             ] );
         ( "cache",
-          j_obj
+          Json.Assoc
             [
-              ("cold", cache_stats_json seq_stats);
-              ("warm_hit_rate", j_float warm_rate);
+              ( "cold",
+                Json.Assoc
+                  [
+                    ("hits", Json.Int seq_stats.Memo.hits);
+                    ("misses", Json.Int seq_stats.Memo.misses);
+                    ("entries", Json.Int seq_stats.Memo.entries);
+                  ] );
+              ("warm_hit_rate", Json.Float warm_rate);
               ( "f_sweep",
-                j_obj
+                Json.Assoc
                   [
                     ( "points",
-                      j_arr
+                      Json.List
                         (List.map
                            (fun (f, h, m, rate) ->
-                             j_obj
+                             Json.Assoc
                                [
-                                 ("f", j_float f);
-                                 ("hits", string_of_int h);
-                                 ("misses", string_of_int m);
-                                 ("hit_rate", j_float rate);
+                                 ("f", Json.Float f);
+                                 ("hits", Json.Int h);
+                                 ("misses", Json.Int m);
+                                 ("hit_rate", Json.Float rate);
                                ])
                            points) );
-                    ("rest_hit_rate", j_float rest_rate);
+                    ("rest_hit_rate", Json.Float rest_rate);
                   ] );
             ] );
       ]
   in
-  let oc = open_out "BENCH_flow.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
+  write_bench doc;
   Printf.printf "  wrote BENCH_flow.json\n%!";
   if smoke then begin
     (* Tier-1 guards ([dune runtest] runs speed --smoke). The block
@@ -910,14 +923,11 @@ let rec speed ?(smoke = false) () =
     (* Absolute gates from the shared table ([Lp_bench.Gates]) over the
        document just written — the same limits test_bench_schema locks,
        so a regression fails here with the full per-metric story. *)
-    (match Lp_json.parse (In_channel.with_open_bin "BENCH_flow.json" In_channel.input_all) with
-    | Error msg -> smoke_fail "BENCH_flow.json just written does not parse: %s" msg
-    | Ok doc -> (
-        match Lp_bench.Compare.check_doc doc with
-        | [] -> ()
-        | violations ->
-            smoke_fail "gated metric out of bounds:\n  - %s"
-              (String.concat "\n  - " violations)));
+    (match Lp_bench.Compare.check_doc doc with
+    | [] -> ()
+    | violations ->
+        smoke_fail "gated metric out of bounds:\n  - %s"
+          (String.concat "\n  - " violations));
     Printf.printf "  smoke assertions: memo-warm ~0 ms, block engine engaged\n"
   end;
   if not smoke then speed_bechamel ()
@@ -1012,7 +1022,6 @@ let serve_bench ?(smoke = false) () =
   let module Server = Lp_service.Server in
   let module Client = Lp_service.Client in
   let module Proto = Lp_service.Protocol in
-  let module Json = Lp_json in
   section "B8: partitioning service -- request latency and throughput";
   let tmp = Filename.get_temp_dir_name () in
   let socket =
@@ -1081,62 +1090,81 @@ let serve_bench ?(smoke = false) () =
     | Error _ -> 0
   in
   let clients = if smoke then 2 else 4 in
-  Memo.reset ();
-  let cold = ref [] and warm = ref [] in
-  let rtt_ms = ref 0.0 and thr = ref (0, 1.0) in
-  with_server (fun () ->
-      with_client (fun c ->
-          cold := latency_pass c;
-          warm := latency_pass c;
-          let reps = if smoke then 10 else 50 in
-          let (), dt =
-            wall (fun () ->
-                for _ = 1 to reps do
-                  ignore (Client.rpc c Proto.Stats)
-                done)
-          in
-          rtt_ms := 1e3 *. dt /. float_of_int reps);
-      let (), dt =
-        wall (fun () ->
-            let threads =
-              List.init clients (fun _ ->
-                  Thread.create
-                    (fun () -> with_client (fun c -> List.iter (request c) apps))
-                    ())
-            in
-            List.iter Thread.join threads)
-      in
-      thr := (clients * List.length apps, dt));
-  (* Daemon restart: the in-memory tier is gone, the disk tier answers. *)
-  Memo.reset ();
-  let disk = ref [] and disk_hits = ref 0 in
-  with_server (fun () ->
-      with_client (fun c ->
-          disk := latency_pass c;
-          disk_hits := stats_disk_hits c));
+  (* One request's wall time varies several-fold from pass to pass, so
+     each phase is repeated and every figure is a median over passes. A
+     cold pass starts from an empty cache dir and memo, a memo-warm pass
+     repeats it on the same daemon, a disk-warm pass follows a daemon
+     restart onto the cache the cold passes left. *)
+  let passes = if smoke then 1 else 5 in
+  let cold_warm_pass () =
+    rm_rf cache;
+    Memo.reset ();
+    with_server (fun () ->
+        with_client (fun c ->
+            let cold = latency_pass c in
+            (cold, latency_pass c)))
+  in
+  let cold, warm = List.split (List.init passes (fun _ -> cold_warm_pass ())) in
+  (* Round trip and throughput on a daemon over the warm memo. *)
+  let rtt_ms, thr =
+    with_server (fun () ->
+        let reps = if smoke then 10 else 50 in
+        let (), dt =
+          with_client (fun c ->
+              wall (fun () ->
+                  for _ = 1 to reps do
+                    ignore (Client.rpc c Proto.Stats)
+                  done))
+        in
+        let (), thr_dt =
+          wall (fun () ->
+              let threads =
+                List.init clients (fun _ ->
+                    Thread.create
+                      (fun () -> with_client (fun c -> List.iter (request c) apps))
+                      ())
+              in
+              List.iter Thread.join threads)
+        in
+        (1e3 *. dt /. float_of_int reps, (clients * List.length apps, thr_dt)))
+  in
+  let disk_pass () =
+    Memo.reset ();
+    with_server (fun () ->
+        with_client (fun c ->
+            let disk = latency_pass c in
+            (disk, stats_disk_hits c)))
+  in
+  let disk, disk_hits = List.split (List.init passes (fun _ -> disk_pass ())) in
+  let disk_hits = List.hd disk_hits in
   rm_rf cache;
+  let median_of passes =
+    List.map (fun name -> (name, median (List.map (List.assoc name) passes))) apps
+  in
+  let cold = median_of cold and warm = median_of warm and disk = median_of disk in
   let sum l = List.fold_left (fun a (_, ms) -> a +. ms) 0.0 l in
-  let cold_s = sum !cold /. 1e3
-  and warm_s = sum !warm /. 1e3
-  and disk_s = sum !disk /. 1e3 in
+  let cold_s = sum cold /. 1e3
+  and warm_s = sum warm /. 1e3
+  and disk_s = sum disk /. 1e3 in
+  Printf.printf "  per-request medians of %d pass(es):\n" passes;
   List.iter
     (fun name ->
       Printf.printf
         "  %-10s cold %8.1f ms   memo-warm %7.2f ms   disk-warm %8.1f ms\n"
         name
-        (List.assoc name !cold)
-        (List.assoc name !warm)
-        (List.assoc name !disk))
+        (List.assoc name cold)
+        (List.assoc name warm)
+        (List.assoc name disk))
     apps;
   Printf.printf
     "  totals: cold %.2fs, memo-warm %.3fs (%.1fx), disk-warm %.3fs (%.1fx); \
      restart disk hits %d\n"
-    cold_s warm_s (cold_s /. warm_s) disk_s (cold_s /. disk_s) !disk_hits;
-  let n_req, thr_dt = !thr in
+    cold_s warm_s (cold_s /. warm_s) disk_s (cold_s /. disk_s) disk_hits;
+  let n_req, thr_dt = thr in
   Printf.printf
     "  stats round-trip %.3f ms; %d clients: %d warm requests in %.2fs \
      (%.1f req/s)\n"
-    !rtt_ms clients n_req thr_dt
+    rtt_ms clients n_req thr_dt
     (float_of_int n_req /. thr_dt);
   let per_app =
     Json.List
@@ -1145,9 +1173,9 @@ let serve_bench ?(smoke = false) () =
            Json.Assoc
              [
                ("app", Json.String name);
-               ("cold_ms", Json.Float (List.assoc name !cold));
-               ("warm_ms", Json.Float (List.assoc name !warm));
-               ("disk_warm_ms", Json.Float (List.assoc name !disk));
+               ("cold_ms", Json.Float (List.assoc name cold));
+               ("warm_ms", Json.Float (List.assoc name warm));
+               ("disk_warm_ms", Json.Float (List.assoc name disk));
              ])
          apps)
   in
@@ -1157,6 +1185,7 @@ let serve_bench ?(smoke = false) () =
         ("schema", Json.String "lowpart-bench-service/1");
         ("workers", Json.Int Flow.default_jobs);
         ("smoke", Json.Bool smoke);
+        ("samples", Json.Int passes);
         ("requests", per_app);
         ( "totals",
           Json.Assoc
@@ -1167,7 +1196,7 @@ let serve_bench ?(smoke = false) () =
               ("warm_speedup", Json.Float (cold_s /. warm_s));
               ("disk_warm_speedup", Json.Float (cold_s /. disk_s));
             ] );
-        ("stats_rtt_ms", Json.Float !rtt_ms);
+        ("stats_rtt_ms", Json.Float rtt_ms);
         ( "throughput",
           Json.Assoc
             [
@@ -1176,31 +1205,10 @@ let serve_bench ?(smoke = false) () =
               ("elapsed_s", Json.Float thr_dt);
               ("req_per_s", Json.Float (float_of_int n_req /. thr_dt));
             ] );
-        ("restart_disk_hits", Json.Int !disk_hits);
+        ("restart_disk_hits", Json.Int disk_hits);
       ]
   in
-  let base =
-    if Sys.file_exists "BENCH_flow.json" then begin
-      let ic = open_in_bin "BENCH_flow.json" in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Json.parse s with Ok v -> v | Error _ -> Json.Assoc []
-    end
-    else Json.Assoc []
-  in
-  let merged =
-    match base with
-    | Json.Assoc fields ->
-        Json.Assoc
-          (List.filter (fun (k, _) -> k <> "service") fields
-          @ [ ("service", service) ])
-    | _ -> Json.Assoc [ ("service", service) ]
-  in
-  let oc = open_out "BENCH_flow.json" in
-  output_string oc (Json.to_string merged);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  merged service results into BENCH_flow.json\n%!"
+  merge_bench_key "service" service
 
 (* --- B9: the design-space explorer — cold vs memo-warm sweep latency,
    points/s, and how many evaluations each strategy needs before it has
@@ -1209,7 +1217,6 @@ let serve_bench ?(smoke = false) () =
 
 let explore_bench ?(smoke = false) () =
   let module E = Lp_explore.Explore in
-  let module Json = Lp_json in
   section "B9: design-space explorer -- sweep latency and strategy efficiency";
   (* As in the service bench, a generated workload joins the sweep. *)
   let apps =
@@ -1384,28 +1391,7 @@ let explore_bench ?(smoke = false) () =
             ] );
       ]
   in
-  let base =
-    if Sys.file_exists "BENCH_flow.json" then begin
-      let ic = open_in_bin "BENCH_flow.json" in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Json.parse s with Ok v -> v | Error _ -> Json.Assoc []
-    end
-    else Json.Assoc []
-  in
-  let merged =
-    match base with
-    | Json.Assoc fields ->
-        Json.Assoc
-          (List.filter (fun (k, _) -> k <> "explore") fields
-          @ [ ("explore", explore) ])
-    | _ -> Json.Assoc [ ("explore", explore) ]
-  in
-  let oc = open_out "BENCH_flow.json" in
-  output_string oc (Json.to_string merged);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  merged explore results into BENCH_flow.json\n%!"
+  merge_bench_key "explore" explore
 
 (* --- B10: the generator corpus — manifest verification, per-task flow
    benches on workloads that actually exceed the pool threshold, and a
@@ -1419,28 +1405,6 @@ let corpus_run_id () =
   Printf.sprintf "%04d%02d%02d-%02d%02d%02d-%d" (t.Unix.tm_year + 1900)
     (t.Unix.tm_mon + 1) t.Unix.tm_mday t.Unix.tm_hour t.Unix.tm_min
     t.Unix.tm_sec (Unix.getpid ())
-
-let merge_bench_key key value =
-  let module Json = Lp_json in
-  let base =
-    if Sys.file_exists "BENCH_flow.json" then begin
-      let s = In_channel.with_open_bin "BENCH_flow.json" In_channel.input_all in
-      match Json.parse s with Ok v -> v | Error _ -> Json.Assoc []
-    end
-    else Json.Assoc []
-  in
-  let merged =
-    match base with
-    | Json.Assoc fields ->
-        Json.Assoc
-          (List.filter (fun (k, _) -> k <> key) fields @ [ (key, value) ])
-    | _ -> Json.Assoc [ (key, value) ]
-  in
-  let oc = open_out "BENCH_flow.json" in
-  output_string oc (Json.to_string merged);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  merged %s results into BENCH_flow.json\n%!" key
 
 let corpus_manifest_path () =
   if Sys.file_exists "corpus.json" then "corpus.json" else "bench/corpus.json"
@@ -1470,12 +1434,7 @@ let corpus_write () =
    median is a sample. *)
 let corpus_samples = 5
 
-let median samples =
-  let a = Array.of_list (List.sort compare samples) in
-  a.(Array.length a / 2)
-
 let corpus_bench ?(smoke = false) () =
-  let module Json = Lp_json in
   let module Corpus = Lp_bench.Corpus in
   let module Gen = Lp_gen.Gen in
   section "B10: generator corpus -- manifest check and above-threshold flows";
@@ -1713,7 +1672,6 @@ let fleet_bench ?(smoke = false) () =
   let module Server = Lp_service.Server in
   let module Client = Lp_service.Client in
   let module Proto = Lp_service.Protocol in
-  let module Json = Lp_json in
   section "B12: fleet mode -- sharded multi-process service";
   let tmp = Filename.get_temp_dir_name () in
   let socket =

@@ -254,11 +254,11 @@ let run_cmd =
         in
         (match json with
         | Some "-" ->
-            print_endline (Lp_report.Export.results_json ~stages:true results)
+            print_endline
+              (Lp_json.to_string (Lp_report.Export.results ~stages:true results))
         | Some path ->
             let oc = open_out path in
-            output_string oc
-              (Lp_report.Export.results_json ~stages:true results);
+            Lp_json.to_channel oc (Lp_report.Export.results ~stages:true results);
             output_char oc '\n';
             close_out oc
         | None -> ());
@@ -788,7 +788,7 @@ let client_run_cmd =
     in
     with_client socket tcp (fun c ->
         (* One request per app over one connection; the concatenation
-           reproduces Export.results_json byte for byte. *)
+           reproduces `run --json` byte for byte. *)
         let payloads =
           List.map
             (fun app ->

@@ -11,9 +11,9 @@ exception Parse_error of string
 
 (* --- printing ----------------------------------------------------- *)
 
-(* Mirrors Lp_report.Export: escape the two JSON metacharacters and
-   [\n] symbolically, every other control byte as \u00XX, and pass the
-   rest (including any UTF-8 payload) through untouched. *)
+(* Escape the two JSON metacharacters and [\n] symbolically, every
+   other control byte as \u00XX, and pass the rest (including any UTF-8
+   payload) through untouched. *)
 let escape_to buf s =
   String.iter
     (fun c ->

@@ -1,18 +1,15 @@
-(** A small dependency-free JSON value type with parser and printer.
-
-    The repo has emitted JSON since the first export code
-    ([Lp_report.Export], the bench harness) but could never read any;
-    this module closes the loop for the service wire protocol and for
-    merging benchmark files.
+(** A small dependency-free JSON value type with parser and printer:
+    the one JSON representation of the repo. [Lp_report.Export], the
+    service wire protocol and the bench harness build {!t} values and
+    print them here.
 
     Printing is {e compact and canonical}: no whitespace, object fields
     in the order given, integers as decimal literals, floats with
-    [%.6g], and the same string-escaping rules [Lp_report.Export] uses.
-    Because a ≤6-significant-digit decimal survives a
-    decimal→double→decimal round trip exactly, parsing an
-    [Export]-produced document and re-printing it reproduces the
-    original bytes — the property the service relies on to answer [run]
-    requests byte-identically to [lowpart run --json]. *)
+    [%.6g] ([null] when not finite). Because a ≤6-significant-digit
+    decimal survives a decimal→double→decimal round trip exactly,
+    parsing a printed document and printing it again reproduces the
+    original bytes — so a client that re-prints a [run] payload it
+    received prints exactly what [lowpart run --json] prints. *)
 
 type t =
   | Null

@@ -1,96 +1,75 @@
 module Flow = Lp_core.Flow
 module System = Lp_system.System
+module J = Lp_json
 
-(* Minimal JSON emission: enough structure for plotting scripts without
-   pulling a dependency. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let j_str s = "\"" ^ json_escape s ^ "\""
-let j_int n = string_of_int n
-let j_float x = Printf.sprintf "%.6g" x
-let j_obj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> j_str k ^ ":" ^ v) fields) ^ "}"
-let j_arr items = "[" ^ String.concat "," items ^ "]"
-
-let report_json (r : System.report) =
-  j_obj
+let report (r : System.report) =
+  J.Assoc
     [
-      ("icache_j", j_float r.System.icache_j);
-      ("dcache_j", j_float r.System.dcache_j);
-      ("mem_j", j_float r.System.mem_j);
-      ("bus_j", j_float r.System.bus_j);
-      ("up_j", j_float r.System.up_j);
-      ("asic_j", j_float r.System.asic_j);
-      ("total_j", j_float (System.total_energy_j r));
-      ("up_cycles", j_int r.System.up_cycles);
-      ("stall_cycles", j_int r.System.stall_cycles);
-      ("asic_cycles", j_int r.System.asic_cycles);
-      ("total_cycles", j_int (System.total_cycles r));
-      ("instructions", j_int r.System.instr_count);
+      ("icache_j", J.Float r.System.icache_j);
+      ("dcache_j", J.Float r.System.dcache_j);
+      ("mem_j", J.Float r.System.mem_j);
+      ("bus_j", J.Float r.System.bus_j);
+      ("up_j", J.Float r.System.up_j);
+      ("asic_j", J.Float r.System.asic_j);
+      ("total_j", J.Float (System.total_energy_j r));
+      ("up_cycles", J.Int r.System.up_cycles);
+      ("stall_cycles", J.Int r.System.stall_cycles);
+      ("asic_cycles", J.Int r.System.asic_cycles);
+      ("total_cycles", J.Int (System.total_cycles r));
+      ("instructions", J.Int r.System.instr_count);
     ]
 
-let core_json (c : Flow.core) =
-  j_obj
+let core (c : Flow.core) =
+  J.Assoc
     [
-      ("clusters", j_arr (List.map j_int c.Flow.core_cids));
-      ("cells", j_int c.Flow.core_cells);
-      ("power_w", j_float c.Flow.core_power_w);
-      ("gate_energy_j", j_float c.Flow.core_gate_energy_j);
+      ("clusters", J.List (List.map (fun cid -> J.Int cid) c.Flow.core_cids));
+      ("cells", J.Int c.Flow.core_cells);
+      ("power_w", J.Float c.Flow.core_power_w);
+      ("gate_energy_j", J.Float c.Flow.core_gate_energy_j);
       ( "instances",
-        j_arr
+        J.List
           (List.map
              (fun (k, n) ->
-               j_obj
+               J.Assoc
                  [
-                   ("kind", j_str (Lp_tech.Resource.kind_to_string k));
-                   ("count", j_int n);
+                   ("kind", J.String (Lp_tech.Resource.kind_to_string k));
+                   ("count", J.Int n);
                  ])
              c.Flow.core_instances) );
     ]
 
-let stages_json (r : Flow.result) =
-  j_obj
+let stages (r : Flow.result) =
+  J.Assoc
     (List.map
-       (fun (st, dt) -> (Flow.stage_name st, j_float dt))
+       (fun (st, dt) -> (Flow.stage_name st, J.Float dt))
        r.Flow.stage_times)
 
-let result_json ?(stages = false) (r : Flow.result) =
-  j_obj
+let result ?stages:(with_stages = false) (r : Flow.result) =
+  J.Assoc
     ([
-      ("app", j_str r.Flow.name);
-      ("energy_saving", j_float r.Flow.energy_saving);
-      ("time_change", j_float r.Flow.time_change);
-      ("total_cells", j_int r.Flow.total_cells);
-      ("clusters", j_int (List.length r.Flow.chain));
-      ("preselected", j_int (List.length r.Flow.preselected));
-      ("candidates", j_int (List.length r.Flow.candidates));
-      ( "selected",
-        j_arr
-          (List.map
-             (fun s ->
-               j_int
-                 s.Flow.candidate.Lp_core.Candidate.cluster
-                   .Lp_cluster.Cluster.cid)
-             r.Flow.selected) );
-      ("initial", report_json r.Flow.initial);
-      ("partitioned", report_json r.Flow.partitioned);
-      ("cores", j_arr (List.map core_json r.Flow.cores));
-    ]
-    @ if stages then [ ("stages", stages_json r) ] else [])
+       ("app", J.String r.Flow.name);
+       ("energy_saving", J.Float r.Flow.energy_saving);
+       ("time_change", J.Float r.Flow.time_change);
+       ("total_cells", J.Int r.Flow.total_cells);
+       ("clusters", J.Int (List.length r.Flow.chain));
+       ("preselected", J.Int (List.length r.Flow.preselected));
+       ("candidates", J.Int (List.length r.Flow.candidates));
+       ( "selected",
+         J.List
+           (List.map
+              (fun s ->
+                J.Int
+                  s.Flow.candidate.Lp_core.Candidate.cluster
+                    .Lp_cluster.Cluster.cid)
+              r.Flow.selected) );
+       ("initial", report r.Flow.initial);
+       ("partitioned", report r.Flow.partitioned);
+       ("cores", J.List (List.map core r.Flow.cores));
+     ]
+    @ if with_stages then [ ("stages", stages r) ] else [])
 
-let results_json ?stages rs = j_arr (List.map (result_json ?stages) rs)
+let results ?stages rs = J.List (List.map (result ?stages) rs)
+let result_json ?stages r = J.to_string (result ?stages r)
 
 let dfg_dot dfg =
   Lp_graph.Dot.render ~name:"dfg"

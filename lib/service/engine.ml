@@ -151,13 +151,10 @@ let compute t ~cancel request =
           let program = Protocol.prepare_program options (e.Apps.build ()) in
           let r = Flow.run ~options:opts ~cancel ~name:e.Apps.name program in
           record_stages t r.Flow.stage_times;
-          (* Parsing our own export keeps the response payload
-             byte-identical to `lowpart run --json` after the client
-             re-prints it (Lp_json round-trip stability). A streamed
-             run additionally carries the trailing "stages" object so
-             the client can reconcile the streamed events against the
+          (* A streamed run carries the trailing "stages" object so the
+             client can reconcile the streamed events against the
              result. *)
-          Ok (J.of_string (Lp_report.Export.result_json ~stages:stream r))))
+          Ok (Lp_report.Export.result ~stages:stream r)))
   | Protocol.Simulate { app; options } -> (
       match find_app app with
       | Error e -> Error e
@@ -169,7 +166,7 @@ let compute t ~cancel request =
                 Protocol.prepare_program options (e.Apps.build ())
               in
               let report = System.run ~config:opts.Flow.config program in
-              Ok (J.of_string (Lp_report.Export.report_json report))))
+              Ok (Lp_report.Export.report report)))
   | Protocol.Explore { app; options; explore } -> (
       match find_app app with
       | Error e -> Error e

@@ -66,8 +66,8 @@
         "error": {"code": "unknown_app", "message": "..."}} ]}
 
     The [run] payload is byte-identical to one element of
-    [lowpart run --json] ({!Lp_report.Export.result_json}); [simulate]
-    answers {!Lp_report.Export.report_json}; [explore] answers
+    [lowpart run --json] ({!Lp_report.Export.result}); [simulate]
+    answers {!Lp_report.Export.report}; [explore] answers
     {!Lp_explore.Explore.to_json} — one element of
     [lowpart explore --json]; [list] an array of
     [{"name", "description"}]; [stats] server counters plus the memo

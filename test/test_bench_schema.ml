@@ -156,12 +156,16 @@ let test_schema () =
     (arr f_sweep "points" <> []);
   ignore (num f_sweep "rest_hit_rate");
   (* service is merged in by the serve suite; when present it must be
-     an object with its own schema tag. *)
+     an object with its own schema tag and the number of passes its
+     per-request medians are taken over. *)
   (match Json.member "service" doc with
   | None -> ()
   | Some service ->
       Alcotest.(check string)
-        "service schema tag" "lowpart-bench-service/1" (str service "schema"));
+        "service schema tag" "lowpart-bench-service/1" (str service "schema");
+      Alcotest.(check bool)
+        "service figures are medians of >= 1 samples" true
+        (int_ service "samples" >= 1));
   (* corpus is merged in by the corpus suite; when present it carries
      the generated-workload flow benches, with the host-shape fields the
      comparator's conditional speedup floor keys off. *)

@@ -87,8 +87,40 @@ let test_json_export () =
       "app"; "energy_saving"; "time_change"; "total_cells"; "initial";
       "partitioned"; "cores"; "up_cycles"; "icache_j";
     ];
-  let arr = Export.results_json [ r; r ] in
+  let arr = Lp_json.to_string (Export.results [ r; r ]) in
   Alcotest.(check bool) "array balanced" true (json_balanced arr)
+
+(* The export is the byte contract of `lowpart run --json` and of the
+   service's payload: one digest over [result_json] of the six apps,
+   "protocol" and "gen:paper:1" at default options, recorded before
+   Export built Lp_json values instead of concatenating strings. *)
+let test_export_bytes_pinned () =
+  let buf = Buffer.create 16384 in
+  List.iter
+    (fun name ->
+      let e = Result.get_ok (Lp_apps.Apps.resolve name) in
+      let r = Flow.run ~name:e.Lp_apps.Apps.name (e.Lp_apps.Apps.build ()) in
+      Buffer.add_string buf (Export.result_json ~stages:false r))
+    (List.map (fun (e : Lp_apps.Apps.entry) -> e.name) Lp_apps.Apps.extended
+    @ [ "gen:paper:1" ]);
+  Alcotest.(check string) "digest over all payloads"
+    "5c55ca2015bd802dfc8668be093f645b"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* JSON has no literal for NaN or infinity: a degenerate ratio must
+   still give a document every parser reads, with [null] in its place. *)
+let test_export_non_finite () =
+  let r =
+    { (result ()) with Flow.energy_saving = Float.nan; time_change = Float.infinity }
+  in
+  match Lp_json.parse (Export.result_json r) with
+  | Error msg -> Alcotest.failf "result_json does not parse: %s" msg
+  | Ok v ->
+      List.iter
+        (fun field ->
+          Alcotest.(check bool) (field ^ " is null") true
+            (Lp_json.member field v = Some Lp_json.Null))
+        [ "energy_saving"; "time_change" ]
 
 let test_dfg_dot () =
   let dfg =
@@ -127,6 +159,9 @@ let () =
       ( "export",
         [
           Alcotest.test_case "json" `Quick test_json_export;
+          Alcotest.test_case "bytes pinned" `Quick test_export_bytes_pinned;
+          Alcotest.test_case "non-finite floats are null" `Quick
+            test_export_non_finite;
           Alcotest.test_case "dfg dot" `Quick test_dfg_dot;
           Alcotest.test_case "chain dot" `Quick test_chain_dot;
           Alcotest.test_case "dot escaping" `Quick test_dot_escaping;
