@@ -1647,285 +1647,6 @@ let corpus_bench ?(smoke = false) () =
   in
   merge_bench_key "corpus" corpus
 
-(* --- B12: fleet mode — sharded multi-process service. A fixed probe
-   (shards = min(host_cpus, 4), 4 clients — identical in smoke and
-   full runs so the A/B gate compares like with like) feeds the gated
-   fleet_reqs_per_s metric plus a per-request overhead comparison
-   against the single-process daemon at equal compute width; the full
-   run adds 1/2/4-shard scaling passes with client-side latency
-   percentiles and shard balance from the router's dispatched
-   counters. Results merge into BENCH_flow.json under a "fleet" key.
-   On a single-CPU host every shard contends for the same core, so
-   the 2x-the-baseline floor stays disarmed (single_cpu_host:true,
-   the corpus_speedup_floor convention) and only a collapse floor
-   applies. --- *)
-
-let percentile_ms sorted q =
-  match Array.length sorted with
-  | 0 -> 0.0
-  | n ->
-      let idx = int_of_float (Float.ceil (q *. float_of_int n)) - 1 in
-      sorted.(max 0 (min (n - 1) idx))
-
-let fleet_bench ?(smoke = false) () =
-  let module Fleet = Lp_service.Fleet in
-  let module Server = Lp_service.Server in
-  let module Client = Lp_service.Client in
-  let module Proto = Lp_service.Protocol in
-  section "B12: fleet mode -- sharded multi-process service";
-  let tmp = Filename.get_temp_dir_name () in
-  let socket =
-    Filename.concat tmp (Printf.sprintf "lp-fleet-%d.sock" (Unix.getpid ()))
-  in
-  let cache =
-    Filename.concat tmp (Printf.sprintf "lp-fleet-%d.cache" (Unix.getpid ()))
-  in
-  let host_cpus = Domain.recommended_domain_count () in
-  let single_cpu = host_cpus = 1 in
-  let specs = [ "digs"; "3d"; "gen:paper:1" ] in
-  let with_client f =
-    let c = Client.connect (Client.Unix_socket socket) in
-    Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c)
-  in
-  let request lat c name =
-    let (), dt =
-      wall (fun () ->
-          let resp =
-            Client.rpc c
-              (Proto.Run
-                 { app = name; options = Proto.no_options; stream = false })
-          in
-          match resp.Proto.payload with
-          | Ok _ -> ()
-          | Error (code, msg) ->
-              smoke_fail "fleet bench: %s: %s: %s" name code msg)
-    in
-    lat := (1e3 *. dt) :: !lat
-  in
-  (* The router binds its sockets synchronously in [start], but the
-     shard supervisors mark workers alive asynchronously — poll the
-     metrics endpoint until every shard is up before measuring. *)
-  let wait_ready () =
-    let deadline = Unix.gettimeofday () +. 10.0 in
-    let probe () =
-      match Client.connect (Client.Unix_socket socket) with
-      | exception Unix.Unix_error _ -> false
-      | c ->
-          Fun.protect
-            ~finally:(fun () -> Client.close c)
-            (fun () ->
-              match (Client.rpc c Proto.Metrics).Proto.payload with
-              | Ok v -> (
-                  match Json.member "fleet" v with
-                  | Some f -> (
-                      match Json.member "router" f with
-                      | Some (Json.List rows) ->
-                          rows <> []
-                          && List.for_all
-                               (fun r -> Json.bool_field r "alive" = Some true)
-                               rows
-                      | _ -> false)
-                  | None -> true)
-              | Error _ -> false)
-    in
-    let rec go () =
-      if probe () then ()
-      else if Unix.gettimeofday () > deadline then
-        smoke_fail "fleet bench: fleet did not come up within 10 s"
-      else begin
-        Thread.delay 0.05;
-        go ()
-      end
-    in
-    go ()
-  in
-  let drive ~clients ~rounds =
-    let lats = Array.init clients (fun _ -> ref []) in
-    let (), dt =
-      wall (fun () ->
-          let threads =
-            List.init clients (fun i ->
-                Thread.create
-                  (fun () ->
-                    with_client (fun c ->
-                        for _ = 1 to rounds do
-                          List.iter (request lats.(i) c) specs
-                        done))
-                  ())
-          in
-          List.iter Thread.join threads)
-    in
-    let all = List.concat_map (fun r -> !r) (Array.to_list lats) in
-    (clients * rounds * List.length specs, dt, all)
-  in
-  let router_dispatched () =
-    with_client (fun c ->
-        match (Client.rpc c Proto.Metrics).Proto.payload with
-        | Ok v -> (
-            match Json.member "fleet" v with
-            | Some f -> (
-                match Json.member "router" f with
-                | Some (Json.List rows) ->
-                    List.filter_map
-                      (fun r -> Json.int_field r "dispatched")
-                      rows
-                | _ -> [])
-            | None -> [])
-        | Error _ -> [])
-  in
-  let with_fleet ~shards f =
-    rm_rf cache;
-    let t =
-      Fleet.start
-        {
-          Fleet.socket_path = Some socket;
-          tcp_port = None;
-          shards;
-          workers = 1;
-          queue_bound = 64;
-          timeout_s = 300.0;
-          cache_dir = Some cache;
-          handle_signals = false;
-        }
-    in
-    let th = Thread.create Fleet.run t in
-    Fun.protect
-      ~finally:(fun () ->
-        Fleet.stop t;
-        Thread.join th)
-      (fun () ->
-        wait_ready ();
-        f ())
-  in
-  let with_direct ~workers f =
-    rm_rf cache;
-    Memo.reset ();
-    let t =
-      Server.start
-        {
-          Server.socket_path = Some socket;
-          tcp_port = None;
-          workers;
-          queue_bound = 64;
-          timeout_s = 300.0;
-          cache_dir = Some cache;
-          handle_signals = false;
-        }
-    in
-    let th = Thread.create Server.run t in
-    Fun.protect
-      ~finally:(fun () ->
-        Server.stop t;
-        Thread.join th;
-        Lp_core.Memo.set_persist_dir None)
-      f
-  in
-  let summarize (n, dt, lats) =
-    let sorted = Array.of_list lats in
-    Array.sort compare sorted;
-    ( float_of_int n /. dt,
-      percentile_ms sorted 0.50,
-      percentile_ms sorted 0.95,
-      percentile_ms sorted 0.99 )
-  in
-  let balance dispatched ~shards =
-    let total = List.fold_left ( + ) 0 dispatched in
-    if total = 0 then 1.0
-    else
-      float_of_int (List.fold_left max 0 dispatched)
-      *. float_of_int shards /. float_of_int total
-  in
-  (* Probe: one warming round (cold flows + disk-cache fill), then the
-     measured rounds against warm shards. *)
-  let probe_shards = max 1 (min host_cpus 4) in
-  let probe_clients = 4 in
-  let probe = ref (0, 1.0, []) and probe_disp = ref [] in
-  with_fleet ~shards:probe_shards (fun () ->
-      ignore (drive ~clients:probe_clients ~rounds:1);
-      probe := drive ~clients:probe_clients ~rounds:2;
-      probe_disp := router_dispatched ());
-  let probe_rps, probe_p50, probe_p95, probe_p99 = summarize !probe in
-  let probe_n, probe_dt, _ = !probe in
-  let probe_balance = balance !probe_disp ~shards:probe_shards in
-  Printf.printf
-    "  probe: %d shards, %d clients: %d requests in %.2fs (%.1f req/s), \
-     p50 %.1f ms p95 %.1f ms p99 %.1f ms, balance %.2fx ideal\n%!"
-    probe_shards probe_clients probe_n probe_dt probe_rps probe_p50 probe_p95
-    probe_p99 probe_balance;
-  (* Same load against the single-process daemon at equal compute
-     width: the delta is the router+pipe cost per request. *)
-  let direct = ref (0, 1.0, []) in
-  with_direct ~workers:probe_shards (fun () ->
-      ignore (drive ~clients:probe_clients ~rounds:1);
-      direct := drive ~clients:probe_clients ~rounds:2);
-  let direct_rps, _, _, _ = summarize !direct in
-  let overhead_pct = ((direct_rps /. probe_rps) -. 1.0) *. 100.0 in
-  Printf.printf
-    "  direct daemon, same load: %.1f req/s -> fleet per-request overhead \
-     %+.1f%%\n%!"
-    direct_rps overhead_pct;
-  (* Scaling passes (full runs only): how req/s, tail latency and
-     shard balance move with the shard count. *)
-  let scaling = if smoke then [] else [ 1; 2; 4 ] in
-  let runs =
-    List.map
-      (fun shards ->
-        let r = ref (0, 1.0, []) and disp = ref [] in
-        with_fleet ~shards (fun () ->
-            ignore (drive ~clients:8 ~rounds:1);
-            r := drive ~clients:8 ~rounds:2;
-            disp := router_dispatched ());
-        let rps, p50, p95, p99 = summarize !r in
-        let n, dt, _ = !r in
-        let bal = balance !disp ~shards in
-        Printf.printf
-          "  %d shard(s), 8 clients: %d requests in %.2fs (%.1f req/s), p50 \
-           %.1f ms p95 %.1f ms p99 %.1f ms, balance %.2fx ideal\n%!"
-          shards n dt rps p50 p95 p99 bal;
-        Json.Assoc
-          [
-            ("shards", Json.Int shards);
-            ("clients", Json.Int 8);
-            ("requests", Json.Int n);
-            ("elapsed_s", Json.Float dt);
-            ("reqs_per_s", Json.Float rps);
-            ("p50_ms", Json.Float p50);
-            ("p95_ms", Json.Float p95);
-            ("p99_ms", Json.Float p99);
-            ("balance_max_over_ideal", Json.Float bal);
-          ])
-      scaling
-  in
-  rm_rf cache;
-  let fleet =
-    Json.Assoc
-      [
-        ("schema", Json.String "lowpart-bench-fleet/1");
-        ("smoke", Json.Bool smoke);
-        ("host_cpus", Json.Int host_cpus);
-        ("single_cpu_host", Json.Bool single_cpu);
-        ("two_x_gate_armed", Json.Bool (not single_cpu));
-        ( "probe",
-          Json.Assoc
-            [
-              ("shards", Json.Int probe_shards);
-              ("workers_per_shard", Json.Int 1);
-              ("clients", Json.Int probe_clients);
-              ("requests", Json.Int probe_n);
-              ("elapsed_s", Json.Float probe_dt);
-              ("p50_ms", Json.Float probe_p50);
-              ("p95_ms", Json.Float probe_p95);
-              ("p99_ms", Json.Float probe_p99);
-              ("balance_max_over_ideal", Json.Float probe_balance);
-            ] );
-        ("reqs_per_s", Json.Float probe_rps);
-        ("direct_reqs_per_s", Json.Float direct_rps);
-        ("overhead_vs_direct_pct", Json.Float overhead_pct);
-        ("runs", Json.List runs);
-      ]
-  in
-  merge_bench_key "fleet" fleet
-
 (* --- B11: A/B comparator over two BENCH_flow.json files. --- *)
 
 let compare_files old_path new_path =
@@ -1951,14 +1672,11 @@ let usage () =
   print_endline
     "usage: main.exe \
      [table1|fig6|hwcost|ablation-f|ablation-rs|ablation-nmax|cache-sweep|ablation-opt|speed \
-     [--smoke]|serve [--smoke]|fleet [--smoke]|explore [--smoke]|corpus \
+     [--smoke]|serve [--smoke]|explore [--smoke]|corpus \
      [--smoke|--write]|compare OLD.json NEW.json|all]";
   exit 2
 
 let () =
-  (* Fleet workers are re-execs of this binary (the fleet bench starts
-     routers in-process); a no-op in every other invocation. *)
-  Lp_service.Fleet.maybe_exec_worker ();
   let args = List.tl (Array.to_list Sys.argv) in
   let run_default () =
     table1 ();
@@ -1983,8 +1701,6 @@ let () =
   | [ "speed"; "--smoke" ] -> speed ~smoke:true ()
   | [ "serve" ] -> serve_bench ()
   | [ "serve"; "--smoke" ] -> serve_bench ~smoke:true ()
-  | [ "fleet" ] -> fleet_bench ()
-  | [ "fleet"; "--smoke" ] -> fleet_bench ~smoke:true ()
   | [ "explore" ] -> explore_bench ()
   | [ "explore"; "--smoke" ] -> explore_bench ~smoke:true ()
   | [ "corpus" ] -> corpus_bench ()
@@ -2004,7 +1720,6 @@ let () =
       future_work ();
       speed ();
       serve_bench ();
-      fleet_bench ();
       explore_bench ();
       corpus_bench ()
   | _ -> usage ()

@@ -12,18 +12,11 @@ let iss_mips_floor = 200.0
 
 let corpus_speedup_floor ~jobs = if jobs > 1 then 1.0 else 0.5
 
-let fleet_reqs_per_s_floor ~single_cpu = if single_cpu then 5.0 else 43.0
-
 let fixed v _doc = Some v
 
 let corpus_jobs doc =
   match Lp_json.member "corpus" doc with
   | Some c -> Lp_json.int_field c "jobs"
-  | None -> None
-
-let fleet_single_cpu doc =
-  match Lp_json.member "fleet" doc with
-  | Some f -> Lp_json.bool_field f "single_cpu_host"
   | None -> None
 
 let all =
@@ -122,21 +115,6 @@ let all =
         "the joint partition x platform sweep must find a platform whose \
          best point is at least as good as the default platform's \
          (gain = default best energy / overall best energy)";
-    };
-    {
-      metric = "fleet_reqs_per_s";
-      dir = Floor;
-      limit_of =
-        (fun doc ->
-          match fleet_single_cpu doc with
-          | None -> None
-          | Some single_cpu -> Some (fleet_reqs_per_s_floor ~single_cpu));
-      max_regress = Some 0.6;
-      why =
-        "fleet probe throughput: on a multicore host the sharded fleet \
-         must beat 2x the committed single-daemon baseline (armed when \
-         single_cpu_host is false); on a single-CPU host the floor only \
-         guards against routing overhead collapsing throughput";
     };
   ]
 

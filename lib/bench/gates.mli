@@ -43,15 +43,6 @@ val corpus_speedup_floor : jobs:int -> float
     where the parallel path cannot win and the gate only guards
     against the pool making things catastrophically worse. *)
 
-val fleet_reqs_per_s_floor : single_cpu:bool -> float
-(** The floor for [fleet_reqs_per_s] (the fleet bench's fixed probe:
-    1 shard, 4 clients): [43.0] — 2x the committed 21.5 req/s
-    single-daemon baseline — when the recorded run had CPUs to shard
-    across; [5.0] on a single-CPU host, where every shard contends for
-    the same core and the gate (same armed-on-multicore convention as
-    {!corpus_speedup_floor}) only guards against router/pipe overhead
-    collapsing throughput. *)
-
 val all : gate list
 (** Every gate, in report order. *)
 

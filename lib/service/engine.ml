@@ -1,16 +1,10 @@
 (* The request engine: everything the partitioning service does that
    is not socket plumbing. One [t] owns a domain pool, the admission
-   queue, counters, per-stage totals and the scrape metrics; both
-   frontends drive it through [handle_line]:
-
-   - {!Server} (the single-process daemon) calls it from per-connection
-     reader threads, [emit] writing to the client socket;
-   - a {!Fleet} worker process calls it from per-request threads,
-     [emit] writing to the router pipe on stdout.
-
-   This split is what makes the fleet satellites hold by construction:
-   a worker's [stats]/[metrics] payloads have exactly the single
-   daemon's shape because they are the same code. *)
+   queue, counters, per-stage totals and the scrape metrics; {!Server}
+   drives it through [handle_line] from per-connection reader threads,
+   [emit] writing to the client socket. Keeping the request semantics
+   here leaves the daemon's frontend with nothing but listeners and
+   connection threads. *)
 
 module J = Lp_json
 module Pool = Lp_parallel.Pool
@@ -278,7 +272,6 @@ let metrics_payload t =
   J.Assoc
     [
       ("schema", J.String "lowpart-metrics/1");
-      ("shard", J.Int (Option.value t.cfg.shard ~default:(-1)));
       ("pid", J.Int (Unix.getpid ()));
       ("uptime_s", J.Float (Unix.gettimeofday () -. t.started_at));
       ("workers", J.Int t.cfg.workers);
@@ -333,9 +326,6 @@ let retry_after_ms t =
        (Float.ceil (base *. float_of_int (max 1 pending)
                     /. float_of_int t.cfg.workers)))
 
-let shard_field t =
-  match t.cfg.shard with Some s -> [ ("shard", J.Int s) ] | None -> []
-
 (* Submit to the pool and wait under the request deadline with
    [Pool.await_until] (a real condition-variable wait: resolution wakes
    us immediately). Each request carries its own [Cancel] token; when
@@ -358,7 +348,7 @@ let submit_and_wait t ~emit ~id request =
       ( "overloaded",
         Printf.sprintf "request queue is full (%d in flight)"
           t.cfg.queue_bound,
-        [ ("retry_after_ms", J.Int (retry_after_ms t)) ] @ shard_field t )
+        [ ("retry_after_ms", J.Int (retry_after_ms t)) ] )
   else begin
     let cancel = Lp_parallel.Cancel.create () in
     let stream_emit =

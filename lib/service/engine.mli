@@ -1,13 +1,12 @@
-(** The request engine shared by the single-process daemon
-    ({!Server}) and fleet worker processes ({!Fleet}).
+(** The request engine behind the [lowpart serve] daemon ({!Server}).
 
     One [t] owns a domain pool, the bounded admission queue, the
     request counters, cumulative per-stage flow times and the scrape
-    metrics of {!Metrics}. Frontends feed it protocol lines through
-    {!handle_line} and provide the byte sink; everything else —
+    metrics of {!Metrics}. The frontend feeds it protocol lines through
+    {!handle_line} and provides the byte sink; everything else —
     dispatch, deadline/cancellation plumbing, streamed stage events,
-    [stats]/[metrics] payload shapes — is engine code, so a fleet
-    worker answers exactly what the single daemon would. *)
+    [stats]/[metrics] payload shapes — is engine code, and a request's
+    exception always becomes one error envelope. *)
 
 type config = {
   workers : int;  (** domain pool width, [>= 1] *)
@@ -16,8 +15,9 @@ type config = {
   cache_dir : string option;
       (** persistent memo tier (and explore journals) root *)
   shard : int option;
-      (** fleet shard index; [None] for the standalone daemon. Stamped
-          into [metrics] payloads and [overloaded] error data. *)
+      (** Ignored. Kept only so record literals written against the
+          earlier config (the [perfbench] harness) still compile;
+          pass [None]. *)
 }
 
 type t
@@ -53,12 +53,11 @@ val list_payload : unit -> Lp_json.t
 val stats_payload : t -> Lp_json.t
 (** The [stats] response payload: uptime, pool/queue shape, request
     counters, connection counts, memo tiers, cumulative per-stage
-    seconds. The fleet router merges per-shard copies of this shape
-    field-by-field. *)
+    seconds. *)
 
 val metrics_payload : t -> Lp_json.t
 (** The scrape-ready [metrics] payload (schema [lowpart-metrics/1]):
-    shard, pid, uptime, outcome counters, queue depth/high-water,
+    pid, uptime, outcome counters, queue depth/high-water,
     latency histogram with p50/p95/p99, per-stage totals, memo hit
     rates. *)
 

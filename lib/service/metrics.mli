@@ -2,8 +2,8 @@
     latency histogram with summary percentiles, and the admission-queue
     high-water mark.
 
-    One [t] lives inside each {!Engine} (each worker process in a
-    fleet). The JSON fragments here are schema-locked by [test_fleet]:
+    One [t] lives inside each {!Engine}. The JSON fragments here are
+    schema-locked by [test_service]:
 
     {[ "outcomes":   {"ok": 41, "timeout": 2, ...}          (sorted keys)
        "queue":      {"depth": 3, "high_water": 9, "bound": 64}
@@ -13,9 +13,7 @@
 
     Percentiles report the upper bound of the bucket where the
     cumulative count crosses the quantile (the overflow bucket reports
-    the observed maximum) — histogram-resolution values that merge
-    exactly: {!merge_latency} sums bucket counts across shards and
-    recomputes the percentiles of the union distribution. *)
+    the observed maximum). *)
 
 type t
 
@@ -38,16 +36,3 @@ val bucket_bounds_ms : float array
 val outcomes_json : t -> Lp_json.t
 val queue_json : t -> depth:int -> bound:int -> Lp_json.t
 val latency_json : t -> Lp_json.t
-
-(** {2 Fleet-side merging} *)
-
-val sum_objects : ?max_keys:string list -> Lp_json.t list -> Lp_json.t
-(** Field-wise sum of JSON objects (ints stay ints); the first
-    object's field order wins, unseen fields append, non-numeric
-    fields pass through from the first carrier. Fields named in
-    [max_keys] fold with [max] instead of [+] (shared-disk gauges such
-    as [disk_entries] that every shard reports identically). *)
-
-val merge_latency : Lp_json.t list -> Lp_json.t
-(** Merge [latency_ms] payloads: bucket counts sum exactly, percentiles
-    are recomputed from the merged counts. *)

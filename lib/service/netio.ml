@@ -1,7 +1,6 @@
-(* Socket plumbing shared by the single-process daemon (Server) and
-   the fleet router (Fleet): full-buffer writes and listener setup.
-   Listeners are close-on-exec so fleet worker processes spawned later
-   never inherit them. *)
+(* Socket plumbing for the daemon (Server): full-buffer writes and
+   listener setup. Listeners are close-on-exec so no child process a
+   request might start inherits them. *)
 
 let rec write_all fd s off =
   if off < String.length s then

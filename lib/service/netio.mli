@@ -1,4 +1,4 @@
-(** Socket plumbing shared by {!Server} and {!Fleet}. *)
+(** Socket plumbing for {!Server}. *)
 
 val write_all : Unix.file_descr -> string -> int -> unit
 (** [write_all fd s off] writes [s] from [off] to the end, retrying

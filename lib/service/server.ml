@@ -34,18 +34,23 @@ type t = {
   engine : Engine.t;
   listeners : Unix.file_descr list;
   stop : bool Atomic.t;
-  m : Mutex.t;  (** guards [threads] *)
-  mutable threads : Thread.t list;
+  m : Mutex.t;  (** guards [live] *)
+  idle : Condition.t;  (** signalled when [live] drops to 0 *)
+  mutable live : int;  (** connection threads still running *)
 }
 
-let error_of_exn = Engine.error_of_exn
+(* A request line longer than this with no newline yet is answered
+   with one [bad_request] and its connection is closed, so a client
+   that never sends a newline cannot grow the daemon without limit. *)
+let max_line_bytes = 1 lsl 20
 
 (* Per-connection reader thread: accumulate bytes, dispatch complete
-   lines in order. The 0.2 s select timeout doubles as the shutdown
-   poll, so a silent client cannot pin the join at teardown. Response
-   and streamed-event lines share the socket under one write mutex —
-   the engine emits events from pool domains while this thread waits
-   on the response. *)
+   lines in order. Only the newly read bytes are scanned for a
+   newline. The 0.2 s select timeout doubles as the shutdown poll, so
+   a silent client cannot pin the teardown. Response and
+   streamed-event lines share the socket under one write mutex — the
+   engine emits events from pool domains while this thread waits on
+   the response. *)
 let handle_conn t fd =
   let wm = Mutex.create () in
   let emit line =
@@ -58,15 +63,19 @@ let handle_conn t fd =
   in
   let buf = Buffer.create 1024 in
   let bytes = Bytes.create 4096 in
-  let rec drain_lines () =
-    let s = Buffer.contents buf in
-    match String.index_opt s '\n' with
-    | None -> ()
-    | Some i ->
+  (* Hand every line completed by [bytes.[pos, stop)] to the engine
+     and keep the rest; false once the unfinished line is too long. *)
+  let rec feed pos stop =
+    match Bytes.index_from_opt bytes pos '\n' with
+    | Some i when i < stop ->
+        Buffer.add_subbytes buf bytes pos (i - pos);
+        let line = Buffer.contents buf in
         Buffer.clear buf;
-        Buffer.add_substring buf s (i + 1) (String.length s - i - 1);
-        handle_line (String.sub s 0 i);
-        drain_lines ()
+        handle_line line;
+        feed (i + 1) stop
+    | _ ->
+        Buffer.add_subbytes buf bytes pos (stop - pos);
+        Buffer.length buf <= max_line_bytes
   in
   let rec loop () =
     if not (Atomic.get t.stop) then begin
@@ -76,9 +85,16 @@ let handle_conn t fd =
           match Unix.read fd bytes 0 (Bytes.length bytes) with
           | 0 -> ()
           | n ->
-              Buffer.add_subbytes buf bytes 0 n;
-              drain_lines ();
-              loop ())
+              if feed 0 n then loop ()
+              else
+                emit
+                  (Lp_json.to_string
+                     (Protocol.error_response ~id:Lp_json.Null
+                        ~code:"bad_request"
+                        ~message:
+                          (Printf.sprintf
+                             "request line exceeds %d bytes without a newline"
+                             max_line_bytes))))
     end
   in
   (try loop () with
@@ -127,10 +143,21 @@ let start cfg =
     listeners;
     stop = Atomic.make false;
     m = Mutex.create ();
-    threads = [];
+    idle = Condition.create ();
+    live = 0;
   }
 
 let stop t = Atomic.set t.stop true
+
+(* A connection thread counts itself out when it ends, so teardown
+   waits for exactly the connections still open. *)
+let conn_thread t fd =
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.protect t.m (fun () ->
+          t.live <- t.live - 1;
+          if t.live = 0 then Condition.broadcast t.idle))
+    (fun () -> handle_conn t fd)
 
 let run t =
   if t.cfg.handle_signals then begin
@@ -150,10 +177,8 @@ let run t =
               match Unix.accept ~cloexec:true lfd with
               | fd, _ ->
                   Engine.conn_opened t.engine;
-                  let th = Thread.create (fun () -> handle_conn t fd) () in
-                  Mutex.lock t.m;
-                  t.threads <- th :: t.threads;
-                  Mutex.unlock t.m
+                  Mutex.protect t.m (fun () -> t.live <- t.live + 1);
+                  ignore (Thread.create (conn_thread t) fd)
               | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EINTR), _, _) ->
                   ())
             readable
@@ -167,8 +192,10 @@ let run t =
     (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
     t.listeners;
   Option.iter Netio.unlink_quiet t.cfg.socket_path;
-  let threads = Mutex.protect t.m (fun () -> t.threads) in
-  List.iter Thread.join threads;
+  Mutex.protect t.m (fun () ->
+      while t.live > 0 do
+        Condition.wait t.idle t.m
+      done);
   Engine.shutdown t.engine
 
 let serve cfg = run (start cfg)

@@ -26,11 +26,12 @@
     per-stage flow wall times (the ["stages"] object, one entry per
     {!Lp_core.Flow.all_stages} member).
 
-    Request semantics live in {!Engine} (shared with {!Fleet} worker
-    processes); this module owns only the sockets, the per-connection
-    reader threads and the shutdown flag. A [stream: true] run
-    interleaves {!Protocol.stage_event} lines on the connection before
-    the response; the multi-process sharded frontend is {!Fleet}. *)
+    Request semantics live in {!Engine}; this module owns only the
+    sockets, the per-connection reader threads and the shutdown flag.
+    A request line longer than 1 MiB without a newline is answered
+    with one [bad_request] envelope and its connection is closed. A
+    [stream: true] run interleaves {!Protocol.stage_event} lines on
+    the connection before the response. *)
 
 type config = {
   socket_path : string option;  (** Unix-domain listening socket *)
@@ -69,12 +70,3 @@ val stop : t -> unit
 
 val serve : config -> unit
 (** [start] + [run]. *)
-
-val error_of_exn : cmd:string -> exn -> string * string
-(** The daemon's exception → [(code, message)] envelope mapping for
-    compute requests: [Flow.Cancelled stage] and
-    [Lp_parallel.Cancel.Cancelled] become ["cancelled"] (the former
-    naming the active stage), [Flow.Verification_failed] becomes
-    ["verification_failed"], anything else ["failed"]. Exposed so the
-    mapping itself is testable without engineering each failure
-    end-to-end. *)

@@ -86,6 +86,11 @@ let payload_string = function
   | { Protocol.payload = Error (code, msg); _ } ->
       Alcotest.failf "unexpected error %s: %s" code msg
 
+let ok_payload what = function
+  | { Protocol.payload = Ok v; _ } -> v
+  | { Protocol.payload = Error (code, msg); _ } ->
+      Alcotest.failf "%s: unexpected error %s: %s" what code msg
+
 let expect_code what code = function
   | { Protocol.payload = Error (c, _); _ } ->
       Alcotest.(check string) what code c
@@ -392,8 +397,16 @@ let test_disconnect_mid_run () =
 let test_overloaded () =
   with_server ~queue_bound:0 (fun socket ->
       with_client socket (fun c ->
-          expect_code "bound 0 rejects compute" "overloaded"
-            (Client.rpc c run_request);
+          let rejected = Client.rpc c run_request in
+          expect_code "bound 0 rejects compute" "overloaded" rejected;
+          Alcotest.(check bool)
+            "carries a retry_after_ms hint >= 1" true
+            (match
+               Option.bind rejected.Protocol.resp_error (fun e ->
+                   J.int_field e "retry_after_ms")
+             with
+            | Some ms -> ms >= 1
+            | None -> false);
           (* Cheap requests bypass the queue. *)
           let resp = Client.rpc c Protocol.List_apps in
           Alcotest.(check bool)
@@ -436,7 +449,7 @@ let contains ~sub s =
    verification are distinguishable from a generic failure, and a flow
    cancellation names the stage it stopped at. *)
 let test_error_codes () =
-  let code e = fst (Server.error_of_exn ~cmd:"run" e) in
+  let code e = fst (Lp_service.Engine.error_of_exn ~cmd:"run" e) in
   Alcotest.(check string) "flow cancellation" "cancelled"
     (code (Lp_core.Flow.Cancelled "candidates"));
   Alcotest.(check string) "token cancellation" "cancelled"
@@ -445,7 +458,8 @@ let test_error_codes () =
     (code (Lp_core.Flow.Verification_failed "outputs diverge"));
   Alcotest.(check string) "everything else" "failed" (code (Failure "boom"));
   let _, msg =
-    Server.error_of_exn ~cmd:"run" (Lp_core.Flow.Cancelled "candidates")
+    Lp_service.Engine.error_of_exn ~cmd:"run"
+      (Lp_core.Flow.Cancelled "candidates")
   in
   Alcotest.(check bool) "active stage echoed" true
     (contains ~sub:"candidates" msg)
@@ -505,6 +519,210 @@ let test_timeout_frees_worker () =
           Alcotest.(check bool)
             (Printf.sprintf "worker freed (follow-up took %.2f s)" elapsed)
             true (elapsed < 10.0)))
+
+(* Half a unit in the last place of [x] printed with %.6g: the most
+   that printing moved the value it stands for. *)
+let half_ulp_6g x =
+  if x = 0.0 then 0.0
+  else 0.5 *. (10.0 ** (Float.floor (Float.log10 (Float.abs x)) -. 5.0))
+
+(* Streamed stage events: in order, seq from 0, and each stage's
+   streamed samples agree with the streamed payload's own "stages"
+   object: byte-for-byte for a stage streamed once, and within the
+   rounding of the printed summands for verify, which runs twice (the
+   payload prints the sum of the two clock samples, the events print
+   each sample). *)
+let test_streaming () =
+  with_server (fun socket ->
+      with_client socket (fun c ->
+          let events = ref [] in
+          let resp =
+            Client.rpc_stream c ~id:(J.Int 7)
+              ~on_event:(fun ev -> events := ev :: !events)
+              (Protocol.Run
+                 { app; options = Protocol.no_options; stream = true })
+          in
+          let events = List.rev !events in
+          if events = [] then Alcotest.fail "no streamed events";
+          List.iteri
+            (fun i ev ->
+              Alcotest.(check (option int))
+                "event id echoes the request id" (Some 7)
+                (J.int_field ev "id");
+              Alcotest.(check (option string))
+                "event kind" (Some "stage")
+                (J.string_field ev "event");
+              Alcotest.(check (option int)) "seq" (Some i) (J.int_field ev "seq"))
+            events;
+          (* Events follow the flow's execution order: the nine
+             pipeline stages with verify billing once after each of
+             the two system simulations (ten events total). *)
+          Alcotest.(check (list string))
+            "stage execution order"
+            [
+              "profile"; "cluster"; "preselect"; "simulate_initial";
+              "verify"; "candidates"; "select"; "cores";
+              "simulate_partitioned"; "verify";
+            ]
+            (List.map
+               (fun ev -> Option.get (J.string_field ev "stage"))
+               events);
+          Alcotest.(check (option int))
+            "response id echoes the request id" (Some 7)
+            (J.to_int_opt resp.Protocol.resp_id);
+          (* Per-stage event samples (arrival order) against the
+             payload's stages object: same clock samples, same %.6g
+             printing. *)
+          let payload = ok_payload "streamed run" resp in
+          let stages =
+            match J.member "stages" payload with
+            | Some (J.Assoc fields) -> fields
+            | _ -> Alcotest.fail "streamed run payload carries no stages"
+          in
+          let samples : (string, float list) Hashtbl.t = Hashtbl.create 16 in
+          List.iter
+            (fun ev ->
+              let stage = Option.get (J.string_field ev "stage") in
+              let s = Option.get (J.float_field ev "s") in
+              let prev =
+                Option.value (Hashtbl.find_opt samples stage) ~default:[]
+              in
+              Hashtbl.replace samples stage (prev @ [ s ]))
+            events;
+          Alcotest.(check int)
+            "every stage streamed" (List.length stages)
+            (Hashtbl.length samples);
+          List.iter
+            (fun (stage, v) ->
+              let label = Printf.sprintf "stage %s seconds" stage in
+              match Hashtbl.find_opt samples stage with
+              | None -> Alcotest.failf "stage %s never streamed" stage
+              | Some [ s ] ->
+                  Alcotest.(check string) label (J.to_string v)
+                    (J.to_string (J.Float s))
+              | Some ss ->
+                  let total = Option.get (J.to_float_opt v) in
+                  let sum = List.fold_left ( +. ) 0.0 ss in
+                  let bound =
+                    List.fold_left
+                      (fun b x -> b +. half_ulp_6g x)
+                      (half_ulp_6g total) ss
+                  in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: %s vs %s within %g" label
+                       (J.to_string v)
+                       (J.to_string (J.Float sum))
+                       bound)
+                    true
+                    (Float.abs (total -. sum) <= bound *. (1.0 +. 1e-9)))
+            stages;
+          (* A non-streamed run on the same connection keeps the
+             stage-free payload contract. *)
+          let v = ok_payload "plain run" (Client.rpc c run_request) in
+          Alcotest.(check bool)
+            "plain run carries no stages" true
+            (J.member "stages" v = None)))
+
+(* Schema lock for the scrape surface: the [metrics] payload's keys in
+   order, the fields of each nested block, and one counted run. *)
+let test_metrics_schema () =
+  with_server (fun socket ->
+      with_client socket (fun c ->
+          ignore (ok_payload "run" (Client.rpc c run_request));
+          let v = ok_payload "metrics" (Client.rpc c Protocol.Metrics) in
+          let obj name o =
+            match J.member name o with
+            | Some (J.Assoc _ as a) -> a
+            | _ -> Alcotest.failf "metrics: missing object %s" name
+          in
+          let has name o =
+            if J.member name o = None then
+              Alcotest.failf "metrics: missing field %s" name
+          in
+          Alcotest.(check (list string))
+            "top-level keys"
+            [
+              "schema"; "pid"; "uptime_s"; "workers"; "outcomes"; "queue";
+              "latency_ms"; "stage_seconds"; "memo";
+            ]
+            (match v with
+            | J.Assoc fields -> List.map fst fields
+            | _ -> Alcotest.fail "metrics payload is not an object");
+          Alcotest.(check (option string))
+            "schema" (Some "lowpart-metrics/1") (J.string_field v "schema");
+          Alcotest.(check (option int))
+            "pid" (Some (Unix.getpid ())) (J.int_field v "pid");
+          Alcotest.(check (option int)) "workers" (Some 2) (J.int_field v "workers");
+          List.iter
+            (fun n -> has n (obj "queue" v))
+            [ "depth"; "high_water"; "bound" ];
+          List.iter
+            (fun n -> has n (obj "latency_ms" v))
+            [
+              "buckets_ms"; "counts"; "count"; "sum_ms"; "max_ms"; "p50_ms";
+              "p95_ms"; "p99_ms";
+            ];
+          List.iter
+            (fun n -> has n (obj "memo" v))
+            [ "hits"; "misses"; "hit_rate"; "disk_hits"; "disk_entries" ];
+          List.iter
+            (fun st -> has (Lp_core.Flow.stage_name st) (obj "stage_seconds" v))
+            Lp_core.Flow.all_stages;
+          let ok =
+            Option.value ~default:0 (J.int_field (obj "outcomes" v) "ok")
+          in
+          if ok < 1 then Alcotest.failf "outcomes lost the run (ok=%d)" ok))
+
+(* A client that never sends a newline gets one [bad_request] once its
+   line passes the daemon's bound and is then disconnected; the daemon
+   keeps serving new connections. *)
+let test_line_bound () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  with_server (fun socket ->
+      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_UNIX socket);
+          let chunk = Bytes.make 65536 'x' in
+          let rec write off =
+            if off < Bytes.length chunk then
+              write (off + Unix.write fd chunk off (Bytes.length chunk - off))
+          in
+          (* 2 MiB without a newline; the daemon hangs up part-way. *)
+          (try
+             for _ = 1 to 32 do
+               write 0
+             done
+           with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+          let buf = Buffer.create 256 and bytes = Bytes.create 4096 in
+          let deadline = Unix.gettimeofday () +. 10.0 in
+          let rec read_line () =
+            match String.index_opt (Buffer.contents buf) '\n' with
+            | Some i -> Some (String.sub (Buffer.contents buf) 0 i)
+            | None -> (
+                let left = deadline -. Unix.gettimeofday () in
+                if left <= 0.0 then None
+                else
+                  match Unix.select [ fd ] [] [] left with
+                  | [], _, _ -> None
+                  | _ -> (
+                      match Unix.read fd bytes 0 (Bytes.length bytes) with
+                      | 0 -> None
+                      | n ->
+                          Buffer.add_subbytes buf bytes 0 n;
+                          read_line ()))
+          in
+          match read_line () with
+          | None -> Alcotest.fail "no answer to an unbounded request line"
+          | Some line -> (
+              match Protocol.parse_response (Result.get_ok (J.parse line)) with
+              | Ok resp -> expect_code "overlong line" "bad_request" resp
+              | Error msg -> Alcotest.failf "not a response: %s" msg));
+      with_client socket (fun c ->
+          Alcotest.(check bool)
+            "list answers on a new connection" true
+            (Result.is_ok (Client.rpc c Protocol.List_apps).Protocol.payload)))
 
 let test_shutdown_request () =
   let socket = fresh_path ".sock" in
@@ -685,6 +903,8 @@ let () =
         [
           Alcotest.test_case "error envelopes" `Quick test_protocol_errors;
           Alcotest.test_case "shutdown request" `Quick test_shutdown_request;
+          Alcotest.test_case "request line bound" `Quick test_line_bound;
+          Alcotest.test_case "metrics schema" `Quick test_metrics_schema;
           Alcotest.test_case "platform precedence" `Quick
             test_platform_options;
           Alcotest.test_case "platform on the wire" `Quick
@@ -703,6 +923,7 @@ let () =
           Alcotest.test_case "timeout" `Quick test_timeout;
           Alcotest.test_case "error codes" `Quick test_error_codes;
           Alcotest.test_case "stats stages" `Quick test_stats_stages;
+          Alcotest.test_case "streamed stage events" `Quick test_streaming;
           Alcotest.test_case "timeout frees the worker" `Quick
             test_timeout_frees_worker;
         ] );
