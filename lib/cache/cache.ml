@@ -46,7 +46,8 @@ type stats = {
 
 (* Directory state lives in flat arrays indexed by [set * assoc + way]:
    the probe/touch path is the innermost loop of the whole co-simulation
-   (one probe per fetched cache line, one per data-access run), and flat
+   (one probe per data-access run, and per line of a fetch that cannot
+   be settled by its residency epoch), and flat
    int arrays with in-range-by-construction unsafe accesses beat a
    record-per-line layout by a wide margin. A line's validity is folded
    into its tag: real tags are non-negative, [-1] means invalid. *)
@@ -71,6 +72,13 @@ type t = {
   mutable s_read_misses : int;
   mutable s_write_misses : int;
   mutable s_writebacks : int;
+  mutable epoch : int;
+      (** bumped on every line fill and every flush: while it stays
+          put, no line has left the cache *)
+  fetch_memo : int array;
+      (** [fetch_slots] entries of (start word, words, epoch);
+          empty unless direct-mapped *)
+  mutable fetch_probes : int;
   scratch : run_scratch;
 }
 
@@ -80,6 +88,8 @@ and run_scratch = {
   mutable run_writeback_words : int;
   mutable run_through_words : int;
   mutable run_miss_words : int;
+  mutable run_uncached_reads : int;
+  mutable run_uncached_writes : int;
 }
 
 type event = {
@@ -89,8 +99,8 @@ type event = {
   through_words : int;
 }
 
-(* Aggregate of a *run* of accesses settled with one tag probe per
-   line. The block-compiled ISS batches same-line accesses, so the
+(* Aggregate of a bulk call: a block's fetch run or its whole D-access
+   drain. The block-compiled ISS batches same-line accesses, so the
    per-access event record would allocate on every run; instead each
    cache owns one mutable scratch record that the bulk entry points
    refill and return. [run_miss_words] is the word traffic of the miss
@@ -103,7 +113,13 @@ type run_event = run_scratch = {
   mutable run_writeback_words : int;
   mutable run_through_words : int;
   mutable run_miss_words : int;
+  mutable run_uncached_reads : int;
+  mutable run_uncached_writes : int;
 }
+
+(* Direct-mapped table of recorded fetches, indexed by start word; a
+   power of two. Code beyond it only costs collisions, i.e. probes. *)
+let fetch_slots = 1024
 
 (* Analytic per-access array energy from the geometry. The row that is
    activated spans [assoc] ways of [line_bytes] cells plus tags. *)
@@ -156,6 +172,10 @@ let create ?(energy_scale = 1.0) cfg =
     s_read_misses = 0;
     s_write_misses = 0;
     s_writebacks = 0;
+    epoch = 0;
+    fetch_memo =
+      (if cfg.assoc = 1 then Array.make (3 * fetch_slots) (-1) else [||]);
+    fetch_probes = 0;
     scratch =
       {
         run_misses = 0;
@@ -163,6 +183,8 @@ let create ?(energy_scale = 1.0) cfg =
         run_writeback_words = 0;
         run_through_words = 0;
         run_miss_words = 0;
+        run_uncached_reads = 0;
+        run_uncached_writes = 0;
       };
   }
 
@@ -254,6 +276,7 @@ let access t addr ~write =
       if wb > 0 then t.s_writebacks <- t.s_writebacks + 1;
       t.tags.(slot) <- tag;
       t.dirty.(slot) <- write;
+      t.epoch <- t.epoch + 1;
       touch t slot;
       {
         hit = false;
@@ -303,14 +326,26 @@ let write_hit t addr =
 
 (* --- bulk runs ----------------------------------------------------- *)
 
-let line_shift t = t.line_shift
-
 let reset_run r =
   r.run_misses <- 0;
   r.run_fill_words <- 0;
   r.run_writeback_words <- 0;
   r.run_through_words <- 0;
-  r.run_miss_words <- 0
+  r.run_miss_words <- 0;
+  r.run_uncached_reads <- 0;
+  r.run_uncached_writes <- 0
+
+(* What a fetch settled without a probe returns; never written. *)
+let no_traffic =
+  {
+    run_misses = 0;
+    run_fill_words = 0;
+    run_writeback_words = 0;
+    run_through_words = 0;
+    run_miss_words = 0;
+    run_uncached_reads = 0;
+    run_uncached_writes = 0;
+  }
 
 (* [k] same-kind accesses to line [line_no], settled with a single
    probe. Nothing else touches the cache between the accesses of
@@ -348,6 +383,7 @@ let[@inline] run_line t line_no ~write k acc =
     if wb > 0 then t.s_writebacks <- t.s_writebacks + 1;
     t.tags.(slot) <- tag;
     t.dirty.(slot) <- write;
+    t.epoch <- t.epoch + 1;
     t.clock <- t.clock + k;
     Array.unsafe_set t.lru slot t.clock;
     let fill = line_words t in
@@ -357,33 +393,100 @@ let[@inline] run_line t line_no ~write k acc =
     acc.run_miss_words <- acc.run_miss_words + fill + wb
   end
 
-let access_run t addr ~write k =
-  let acc = t.scratch in
-  reset_run acc;
-  if write then t.s_writes <- t.s_writes + k
-  else t.s_reads <- t.s_reads + k;
-  run_line t (addr lsr t.line_shift) ~write k acc;
-  acc
-
-(* [n] sequential word reads starting at byte address [addr]; the run
-   may span any number of lines but pays one probe per line. This is
-   the instruction-fetch path of a basic block. *)
+(* [n] sequential word reads starting at byte address [addr]: the
+   instruction fetch of a basic block. The slow path pays one probe per
+   line. A fetch that found every line resident is recorded with the
+   cache's epoch, and the same fetch at the same epoch on a
+   direct-mapped cache settles with no probe (DESIGN §13):
+   - no line was filled or flushed since the recorded fetch, so every
+     line it found is still resident;
+   - with one way per set the LRU stamps decide nothing, so leaving
+     them alone changes no later outcome; with more ways they would,
+     so such fetches are never recorded;
+   - a fetch that missed is never recorded: a block longer than the
+     cache evicts its own lines. *)
 let read_run t addr n =
+  t.s_reads <- t.s_reads + n;
+  let w = addr lsr 2 in
+  let memo = t.fetch_memo in
+  let e = 3 * (w land (fetch_slots - 1)) in
+  if
+    t.assoc = 1
+    && Array.unsafe_get memo e = w
+    && Array.unsafe_get memo (e + 1) = n
+    && Array.unsafe_get memo (e + 2) = t.epoch
+  then no_traffic
+  else begin
+    let acc = t.scratch in
+    reset_run acc;
+    let line = ref (addr lsr t.line_shift) in
+    (* Words from [addr] to the end of its line, then whole lines. *)
+    let k = ref ((((!line + 1) lsl t.line_shift) - addr) lsr 2) in
+    let left = ref n in
+    while !left > 0 do
+      (* Not [min]: on ints it is still a polymorphic compare, one C
+         call per fetched line. *)
+      let run = if !left < !k then !left else !k in
+      run_line t !line ~write:false run acc;
+      t.fetch_probes <- t.fetch_probes + 1;
+      left := !left - run;
+      incr line;
+      k := t.cfg.line_bytes lsr 2
+    done;
+    if acc.run_misses = 0 && t.assoc = 1 then begin
+      Array.unsafe_set memo e w;
+      Array.unsafe_set memo (e + 1) n;
+      Array.unsafe_set memo (e + 2) t.epoch
+    end;
+    acc
+  end
+
+let fetch_probes t = t.fetch_probes
+
+(* A block's data accesses in one call: the first [n] entries of [buf],
+   each [byte_addr lor write_bit], in program order. Maximal runs of
+   same-kind accesses to one line are settled with one probe each.
+   Accesses inside the uncached byte window [[uncached_lo, uncached_hi)]
+   bypass the cache and are only counted: each is one word on the bus,
+   so their charge is linear in the count. The runs are consecutive
+   pieces of the access order, so the cache sees what one call per
+   access would show it. *)
+let drain t ~uncached_lo ~uncached_hi buf n =
+  if n > Array.length buf then invalid_arg "Cache.drain: n exceeds the buffer";
   let acc = t.scratch in
   reset_run acc;
-  t.s_reads <- t.s_reads + n;
-  let line = ref (addr lsr t.line_shift) in
-  (* Words from [addr] to the end of its line, then whole lines. *)
-  let k = ref ((((!line + 1) lsl t.line_shift) - addr) lsr 2) in
-  let left = ref n in
-  while !left > 0 do
-    (* Not [min]: on ints it is still a polymorphic compare, one C call
-       per fetched line. *)
-    let run = if !left < !k then !left else !k in
-    run_line t !line ~write:false run acc;
-    left := !left - run;
-    incr line;
-    k := t.cfg.line_bytes lsr 2
+  let shift = t.line_shift in
+  let i = ref 0 in
+  while !i < n do
+    let e = Array.unsafe_get buf !i in
+    let wbit = e land 1 in
+    let addr = e - wbit in
+    if addr >= uncached_lo && addr < uncached_hi then begin
+      if wbit = 1 then acc.run_uncached_writes <- acc.run_uncached_writes + 1
+      else acc.run_uncached_reads <- acc.run_uncached_reads + 1;
+      incr i
+    end
+    else begin
+      let line = addr lsr shift in
+      let j = ref (!i + 1) in
+      while
+        !j < n
+        &&
+        let e' = Array.unsafe_get buf !j in
+        let a' = e' - wbit in
+        e' land 1 = wbit
+        && a' lsr shift = line
+        && not (a' >= uncached_lo && a' < uncached_hi)
+      do
+        incr j
+      done;
+      let k = !j - !i in
+      let write = wbit = 1 in
+      if write then t.s_writes <- t.s_writes + k
+      else t.s_reads <- t.s_reads + k;
+      run_line t line ~write k acc;
+      i := !j
+    end
   done;
   acc
 
@@ -399,6 +502,7 @@ let flush t =
     t.dirty.(i) <- false;
     t.lru.(i) <- 0
   done;
+  t.epoch <- t.epoch + 1;
   !words
 
 let stats t =

@@ -73,7 +73,7 @@ val write_hit : t -> int -> bool
     to memory, which the caller charges from the {!write} event. *)
 
 type run_event = {
-  mutable run_misses : int;  (** miss {e events} in the run *)
+  mutable run_misses : int;  (** miss {e events} *)
   mutable run_fill_words : int;  (** words fetched for line fills *)
   mutable run_writeback_words : int;  (** dirty words evicted *)
   mutable run_through_words : int;  (** words written through *)
@@ -82,28 +82,38 @@ type run_event = {
           + through words of missing writes) — with [run_misses] this
           reconstructs the exact sum of per-event stall penalties, see
           [Lp_mem.Memory.miss_penalty_run] *)
+  mutable run_uncached_reads : int;
+      (** {!drain} only: reads inside the uncached window, one word each *)
+  mutable run_uncached_writes : int;  (** likewise for writes *)
 }
-(** Aggregate of a run of accesses settled with one tag probe per line.
-    The returned record is a per-cache scratch buffer: it is only valid
-    until the next bulk call on the same cache, and must not be
-    mutated. Stats, energy and LRU effects are identical to performing
-    the accesses one at a time through {!read}/{!write}. *)
-
-val access_run : t -> int -> write:bool -> int -> run_event
-(** [access_run c byte_addr ~write k] performs [k] same-kind accesses
-    to the single line holding [byte_addr] with one probe. *)
+(** Aggregate of one bulk call. The returned record is a per-cache
+    scratch buffer: it is only valid until the next bulk call on the
+    same cache, and must not be mutated. Stats, energy and LRU effects
+    are identical to performing the accesses one at a time through
+    {!read}/{!write}. *)
 
 val read_run : t -> int -> int -> run_event
 (** [read_run c byte_addr n] reads [n] sequential words starting at
-    [byte_addr] (word-aligned); the run may span lines and pays one
-    probe per line — the instruction-fetch path of a basic block. *)
+    [byte_addr] (word-aligned) — the instruction fetch of a basic
+    block. The run may span lines and pays one probe per line, unless
+    the same [(byte_addr, n)] fetch last completed without a miss, the
+    cache is direct-mapped, and no line has been filled or flushed
+    since: then it probes nothing (the residency epoch, DESIGN §13). *)
 
-val line_shift : t -> int
-(** [log2 line_bytes]: [addr lsr line_shift c] is the line number of a
-    byte address. Exposed so callers batching accesses can detect
-    same-line runs with a shift of their own, read once per cache,
-    rather than a cross-module call per access (the dev profile builds
-    with [-opaque], so such calls are never inlined). *)
+val fetch_probes : t -> int
+(** Tag probes {!read_run} has made so far (one per line on its slow
+    path). A count for tests and benches; not part of {!stats}. *)
+
+val drain :
+  t -> uncached_lo:int -> uncached_hi:int -> int array -> int -> run_event
+(** [drain c ~uncached_lo ~uncached_hi buf n] performs the first [n]
+    data accesses of [buf] in order, each packed as
+    [byte_addr lor write_bit] (addresses word-aligned, bit 0 = write).
+    Maximal runs of same-kind accesses to one line pay one probe each.
+    Accesses with [uncached_lo <= byte_addr < uncached_hi] bypass the
+    cache: they touch no counter of it and are returned as
+    [run_uncached_reads]/[run_uncached_writes].
+    @raise Invalid_argument if [n] exceeds [Array.length buf]. *)
 
 val locate : t -> int -> int * int
 (** [(set, tag)] of a byte address — exposed so tests can check the

@@ -304,14 +304,17 @@ let disk_entries () =
 
 (* Candidates are cached with [e_trans_j] zero — the transfer energy is
    not part of the key (it does not influence the schedule, binding or
-   netlist) and is stamped per caller. *)
+   netlist) and is stamped per caller. So is the cluster: the key leaves
+   sids out, so a hit may have been stored by another program (or
+   another position in this one) whose cluster has the same statements
+   under other sids and another cid. *)
 let evaluate ?(platform = Platform.sparclite)
     ?(scheduler = Candidate.List_sched) ~e_trans_j p rset =
   Store.find_or_compute candidates (key ~platform ~scheduler p rset)
     (fun () ->
       Candidate.evaluate_prepared ~scheduler ~e_trans_j:0.0
         (candidate_prepared p) rset)
-  |> Option.map (fun c -> { c with Candidate.e_trans_j })
+  |> Option.map (fun c -> { c with Candidate.e_trans_j; cluster = p.cluster })
 
 let initial_report ~config program =
   Store.find_or_compute initials

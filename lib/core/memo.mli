@@ -15,7 +15,9 @@
     key even across differently-numbered programs — and hashes them
     with [Digest]. {!evaluate} is a domain-safe caching wrapper around
     {!Candidate.evaluate_prepared}: cached candidates are re-stamped
-    with the caller's [e_trans_j] on every hit.
+    with the caller's [e_trans_j] and the caller's cluster (its cid and
+    sids, which the key leaves out) on every hit, from memory or
+    disk.
 
     A flow evaluates every preselected cluster under every designer
     resource set, so what does not depend on the set is done once per

@@ -10,7 +10,9 @@ type result = {
 }
 
 exception Runtime_error of string
-exception Return of int (* to the enclosing call *)
+(* To the enclosing call, which reads the value from [state.ret]: a
+   constant exception, so a return allocates nothing. *)
+exception Return
 
 let fail fmt = Format.kasprintf (fun s -> raise (Runtime_error s)) fmt
 
@@ -33,6 +35,7 @@ type state = {
   mutable out : int list;
   mutable fuel : int;
   mutable depth : int;
+  mutable ret : int;  (** the value of the [Return] in flight *)
 }
 
 let[@inline] tick st sid =
@@ -139,7 +142,7 @@ let rec expr st scope = function
             if st.depth >= 256 then fail "call depth exceeded in %S" g;
             if Array.length args <> Array.length slots then invalid_arg "List.iter2";
             st.depth <- st.depth + 1;
-            let v = match c.code callee with () -> 0 | exception Return v -> v in
+            let v = match c.code callee with () -> 0 | exception Return -> st.ret in
             st.depth <- st.depth - 1;
             v)
 
@@ -185,7 +188,7 @@ let rec stmt st scope { sid; node } =
       fun fr -> tick st sid; let v = e fr in st.out <- v :: st.out
   | Return e ->
       let e = match e with Some e -> expr e | None -> fun _ -> 0 in
-      fun fr -> tick st sid; raise_notrace (Return (e fr))
+      fun fr -> tick st sid; st.ret <- e fr; raise_notrace Return
   | Expr e -> let e = expr e in fun fr -> tick st sid; ignore (e fr)
 
 and block st scope ss =
@@ -196,7 +199,7 @@ and block st scope ss =
 let run ?(fuel = 200_000_000) p =
   let n = max (max_sid p + 1) 1 in
   let arrays = Hashtbl.create 16 and funcs = Hashtbl.create 16 in
-  let st = { prof = Array.make n 0; arrays; funcs; fuel; out = []; depth = 0 } in
+  let st = { prof = Array.make n 0; arrays; funcs; fuel; out = []; depth = 0; ret = 0 } in
   List.iter (fun a -> Hashtbl.replace arrays a.aname (new_arr a)) p.arrays;
   (* Replacing in reverse keeps the first function of a name, as [find_func]. *)
   List.iter (fun f -> Hashtbl.replace funcs f.fname (resolve f)) (List.rev p.funcs);

@@ -15,7 +15,7 @@
     decoded into basic-block superops (pre-aggregated cycle/class
     accounting plus a direct-threaded closure chain) and the memory
     hooks are invoked once per block with whole access runs — one
-    I-cache probe per block line, one D-access drain per block. The
+    I-fetch run and one D-access drain per block. The
     per-instruction reference interpreter ({!run_stepwise}) remains as
     the differential oracle; both paths produce identical integer
     counters (energy may differ in float summation order only). *)

@@ -223,88 +223,50 @@ type accounting = {
 
 (* The uP-side memory system as bulk ISS hooks. The block engine hands
    over whole access runs — one I-fetch run per basic block, one
-   D-access drain per block — and the hooks settle each run with as few
-   cache probes as possible: sequential fetches go through
-   [Cache.read_run] (one probe per line), and the D-access buffer is
-   walked once, coalescing maximal runs of same-kind accesses that stay
-   on one cache line (or inside the uncached mailbox window) into a
-   single [Cache.access_run] / mailbox charge. Accounting is identical
-   to per-access hooks: runs are consecutive subsequences of the
-   per-stream access order, and the I- and D-streams touch disjoint
-   caches, so batching never reorders what a cache observes.
+   D-access drain per block — and each is settled by one [Cache] call:
+   [Cache.read_run] for the fetch, [Cache.drain] for the D-buffer,
+   which coalesces same-kind same-line runs and counts the uncached
+   mailbox words itself. Memory and bus are then charged once per call
+   from the aggregate. That is exact: word counts add up, the miss
+   penalty is linear in misses and words
+   ([Memory.miss_penalty_run_of]), and every mailbox word is one
+   single-word transaction at a fixed penalty. Runs are consecutive
+   pieces of each stream's access order, and the I- and D-streams touch
+   disjoint caches, so batching never reorders what a cache observes.
 
    Exposed (with the mailbox window defaulting to empty) so the
    differential tests can wire the production memory system to both the
    block engine and the per-instruction reference engine. *)
 let memory_hooks ~icache ~dcache ~mem ?(mailbox_lo = 0) ?(mailbox_hi = 0)
     ~acall () =
-  let charge_run (re : Cache.run_event) =
-    if re.Cache.run_misses = 0 && re.Cache.run_through_words = 0 then 0
+  let word_penalty = Memory.miss_penalty_cycles_of mem ~words:1 in
+  let charge (re : Cache.run_event) =
+    let ur = re.Cache.run_uncached_reads
+    and uw = re.Cache.run_uncached_writes in
+    if re.Cache.run_misses = 0 && re.Cache.run_through_words = 0 && ur = 0
+       && uw = 0
+    then 0
     else begin
-      Memory.mem_read_words mem re.Cache.run_fill_words;
-      Memory.bus_read_words mem re.Cache.run_fill_words;
-      let wr = re.Cache.run_writeback_words + re.Cache.run_through_words in
+      let rd = re.Cache.run_fill_words + ur in
+      let wr =
+        re.Cache.run_writeback_words + re.Cache.run_through_words + uw
+      in
+      Memory.mem_read_words mem rd;
+      Memory.bus_read_words mem rd;
       Memory.mem_write_words mem wr;
       Memory.bus_write_words mem wr;
       Memory.miss_penalty_run_of mem ~misses:re.Cache.run_misses
         ~words:re.Cache.run_miss_words
+      + ((ur + uw) * word_penalty)
     end
   in
-  let ifetch_run addr n = charge_run (Cache.read_run icache addr n) in
-  (* Per-access work stays in this module, on values read once here:
-     the dev profile builds with [-opaque], so a call into [Cache] is
-     never inlined. The mailbox window is in byte addresses (data
-     addresses are word-aligned); the D-cache line is a shift. *)
-  let mb_lo = Isa.data_base_byte + (4 * mailbox_lo) in
-  let mb_hi = Isa.data_base_byte + (4 * mailbox_hi) in
-  let in_mailbox a = a >= mb_lo && a < mb_hi in
-  let dline_shift = Cache.line_shift dcache in
+  let ifetch_run addr n = charge (Cache.read_run icache addr n) in
+  (* The mailbox window in byte addresses (data addresses are
+     word-aligned). *)
+  let uncached_lo = Isa.data_base_byte + (4 * mailbox_lo) in
+  let uncached_hi = Isa.data_base_byte + (4 * mailbox_hi) in
   let daccess_run buf n =
-    let stalls = ref 0 in
-    let i = ref 0 in
-    while !i < n do
-      let e = Array.unsafe_get buf !i in
-      let wbit = e land 1 in
-      let addr = e - wbit in
-      let j = ref (!i + 1) in
-      let stop = ref false in
-      if in_mailbox addr then begin
-        (* Uncached handover words: straight over the bus, one
-           single-word transaction each. *)
-        while (not !stop) && !j < n do
-          let e' = Array.unsafe_get buf !j in
-          if e' land 1 = wbit && in_mailbox (e' - wbit) then incr j
-          else stop := true
-        done;
-        let k = !j - !i in
-        if wbit = 1 then begin
-          Memory.mem_write_words mem k;
-          Memory.bus_write_words mem k
-        end
-        else begin
-          Memory.mem_read_words mem k;
-          Memory.bus_read_words mem k
-        end;
-        stalls := !stalls + (k * Memory.miss_penalty_cycles_of mem ~words:1)
-      end
-      else begin
-        let line = addr lsr dline_shift in
-        while (not !stop) && !j < n do
-          let e' = Array.unsafe_get buf !j in
-          if
-            e' land 1 = wbit
-            && (e' - wbit) lsr dline_shift = line
-            && not (in_mailbox (e' - wbit))
-          then incr j
-          else stop := true
-        done;
-        let k = !j - !i in
-        stalls :=
-          !stalls + charge_run (Cache.access_run dcache addr ~write:(wbit = 1) k)
-      end;
-      i := !j
-    done;
-    !stalls
+    charge (Cache.drain dcache ~uncached_lo ~uncached_hi buf n)
   in
   { Iss.ifetch_run; daccess_run; acall }
 

@@ -147,6 +147,136 @@ let test_energy_model_monotone () =
   Alcotest.(check bool) "write >= read" true
     (Cache.write_energy_j dm_config > Cache.read_energy_j dm_config)
 
+(* --- bulk paths against the event API --- *)
+
+(* A twin cache driven one access at a time: the aggregate a bulk call
+   must report, as (misses, fills, writebacks, through words, miss
+   words, uncached reads, uncached writes). *)
+let singles c ?(uncached = fun _ -> false) accesses =
+  List.fold_left
+    (fun (m, f, wb, th, mw, ur, uw) (a, write) ->
+      if uncached a then
+        if write then (m, f, wb, th, mw, ur, uw + 1)
+        else (m, f, wb, th, mw, ur + 1, uw)
+      else
+        let e = if write then Cache.write c a else Cache.read c a in
+        let moved =
+          e.Cache.fill_words + e.Cache.writeback_words + e.Cache.through_words
+        in
+        ( (if e.Cache.hit then m else m + 1),
+          f + e.Cache.fill_words,
+          wb + e.Cache.writeback_words,
+          th + e.Cache.through_words,
+          (if e.Cache.hit then mw else mw + moved),
+          ur,
+          uw ))
+    (0, 0, 0, 0, 0, 0, 0) accesses
+
+let aggregate (r : Cache.run_event) =
+  ( r.Cache.run_misses,
+    r.Cache.run_fill_words,
+    r.Cache.run_writeback_words,
+    r.Cache.run_through_words,
+    r.Cache.run_miss_words,
+    r.Cache.run_uncached_reads,
+    r.Cache.run_uncached_writes )
+
+let fetch c twin a n =
+  Alcotest.(check bool)
+    (Printf.sprintf "fetch %d+%d aggregate" a n)
+    true
+    (aggregate (Cache.read_run c a n)
+    = singles twin (List.init n (fun i -> (a + (4 * i), false))))
+
+let same_state c twin =
+  Alcotest.(check bool) "same stats" true (Cache.stats c = Cache.stats twin);
+  Alcotest.(check int) "same dirty lines" (Cache.flush twin) (Cache.flush c)
+
+(* A repeated fetch on a direct-mapped cache probes nothing once it has
+   completed without a miss; a fill anywhere in the cache, or a flush,
+   makes the next one probe again. *)
+let test_fetch_epoch () =
+  let c = Cache.create dm_config and twin = Cache.create dm_config in
+  let probes label n = Alcotest.(check int) label n (Cache.fetch_probes c) in
+  fetch c twin 0 6;
+  probes "a cold fetch probes its two lines" 2;
+  fetch c twin 0 6;
+  probes "one that missed was not recorded" 4;
+  fetch c twin 0 6;
+  fetch c twin 0 6;
+  probes "a recorded fetch probes nothing" 4;
+  fetch c twin 64 3;
+  fetch c twin 0 6;
+  probes "another block's fill moved the epoch" 7;
+  fetch c twin 0 6;
+  probes "recorded again" 7;
+  ignore (Cache.flush c);
+  ignore (Cache.flush twin);
+  fetch c twin 0 6;
+  probes "a flush moved the epoch" 9;
+  Alcotest.(check int) "the refetch after the flush missed" 5
+    (Cache.stats c).Cache.read_misses;
+  same_state c twin
+
+(* 80 words (320 bytes) through a 256-byte direct-mapped cache: the
+   block's last four lines evict its first four, so every entry misses
+   eight lines and the fetch is never recorded. *)
+let test_fetch_longer_than_cache () =
+  let c = Cache.create dm_config and twin = Cache.create dm_config in
+  for _ = 1 to 3 do
+    fetch c twin 0 80
+  done;
+  Alcotest.(check int) "20 cold misses, then 8 per entry" (20 + 8 + 8)
+    (Cache.stats c).Cache.read_misses;
+  Alcotest.(check int) "every entry probes its 20 lines" 60
+    (Cache.fetch_probes c);
+  same_state c twin
+
+(* On a 2-way cache a refetch must still stamp its line: A, B, A, B, A
+   leaves A most recent, so C evicts B and A still hits. *)
+let test_fetch_two_way_lru () =
+  let cfg = { w2_config with Cache.size_bytes = 64; line_bytes = 8 } in
+  let c = Cache.create cfg and twin = Cache.create cfg in
+  List.iter (fun a -> fetch c twin a 2) [ 0; 32; 0; 32; 0; 64; 0 ];
+  Alcotest.(check int) "A, B and C miss once each" 3
+    (Cache.stats c).Cache.read_misses;
+  same_state c twin
+
+(* One drain on a write-through cache: write misses allocate nothing
+   and write every word through; a read fills; later writes hit and
+   still go through. *)
+let test_drain_write_through () =
+  let c = Cache.create wt_config and twin = Cache.create wt_config in
+  let accesses =
+    [ (0, true); (4, true); (0, false); (8, false); (0, true); (12, true); (64, true) ]
+  in
+  let buf = Array.of_list (List.map (fun (a, w) -> if w then a lor 1 else a) accesses) in
+  Alcotest.(check bool) "aggregate" true
+    (aggregate (Cache.drain c ~uncached_lo:0 ~uncached_hi:0 buf (Array.length buf))
+    = singles twin accesses);
+  same_state c twin
+
+(* Mailbox words [96, 112) inside one drain with cached runs on the
+   same and the neighbouring lines: only the cached accesses reach the
+   cache, the others come back as uncached words. *)
+let test_drain_uncached_window () =
+  let c = Cache.create w2_config and twin = Cache.create w2_config in
+  let uncached a = a >= 96 && a < 112 in
+  let accesses =
+    [
+      (92, false); (96, false); (100, true); (104, false); (108, true);
+      (112, false); (116, false); (96, true); (88, true); (92, true); (112, true);
+    ]
+  in
+  let buf = Array.of_list (List.map (fun (a, w) -> if w then a lor 1 else a) accesses) in
+  let got =
+    aggregate (Cache.drain c ~uncached_lo:96 ~uncached_hi:112 buf (Array.length buf))
+  in
+  Alcotest.(check bool) "aggregate" true (got = singles twin ~uncached accesses);
+  let s = Cache.stats c in
+  Alcotest.(check int) "cached accesses only" 6 (s.Cache.reads + s.Cache.writes);
+  same_state c twin
+
 (* --- properties --- *)
 
 let addr_trace =
@@ -201,6 +331,16 @@ let () =
           Alcotest.test_case "clean eviction" `Quick test_clean_eviction_no_writeback;
           Alcotest.test_case "write-through" `Quick test_write_through;
           Alcotest.test_case "flush" `Quick test_flush;
+        ] );
+      ( "bulk",
+        [
+          Alcotest.test_case "fetch residency epoch" `Quick test_fetch_epoch;
+          Alcotest.test_case "fetch longer than the cache" `Quick
+            test_fetch_longer_than_cache;
+          Alcotest.test_case "2-way refetch keeps LRU" `Quick test_fetch_two_way_lru;
+          Alcotest.test_case "drain, write-through" `Quick test_drain_write_through;
+          Alcotest.test_case "drain, uncached window" `Quick
+            test_drain_uncached_window;
         ] );
       ( "energy",
         [

@@ -102,6 +102,50 @@ let jobs_levels_agree () =
     (Memo.initial_fingerprint ~config:Lp_system.System.default_config
        r2.Flow.program)
 
+(* --- one memo, many programs ---------------------------------------- *)
+
+(* The memo key leaves sids out, so a long-lived process (a daemon, an
+   explore sweep) serves one program's candidates from entries another
+   program stored. Flowing the six apps and forty generated programs
+   through one memo must give every candidate its own chain's cluster
+   and change no result against a fresh memo. *)
+let shared_memo_programs () =
+  let programs =
+    List.map
+      (fun (e : Lp_apps.Apps.entry) ->
+        (e.Lp_apps.Apps.name, e.Lp_apps.Apps.build (), Flow.default_options))
+      Lp_apps.Apps.all
+    @ List.init 40 (fun i ->
+          let seed = i + 1 in
+          (Gen.name paper ~seed, Gen.generate paper ~seed, flow_options paper))
+  in
+  let flow (name, program, options) =
+    let r = Flow.run ~options ~name program in
+    { r with Flow.stage_times = [] }
+  in
+  Memo.reset ();
+  let shared = List.map flow programs in
+  let hits = (Memo.stats ()).Memo.hits in
+  List.iter2
+    (fun (name, _, _) (r : Flow.result) ->
+      List.iter
+        (fun (c : Lp_core.Candidate.t) ->
+          let own = c.Lp_core.Candidate.cluster in
+          if not (List.mem own r.Flow.chain) then
+            Alcotest.failf "%s: candidate for cluster %d (sids %s) is not in its chain"
+              name own.Lp_cluster.Cluster.cid
+              (String.concat "," (List.map string_of_int (Lp_cluster.Cluster.sids own))))
+        r.Flow.candidates)
+    programs shared;
+  Alcotest.(check bool) (Printf.sprintf "%d hits across programs" hits) true (hits > 0);
+  List.iter2
+    (fun ((name, _, _) as p) shared_r ->
+      Memo.reset ();
+      if compare (flow p) shared_r <> 0 then
+        Alcotest.failf "%s: result differs from a fresh-memo run" name)
+    programs shared;
+  Memo.reset ()
+
 (* --- scale guard ------------------------------------------------- *)
 
 (* The largest class through the whole flow, Verify included, with
@@ -200,6 +244,11 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_deterministic;
           Alcotest.test_case "-j levels agree" `Quick jobs_levels_agree;
           Alcotest.test_case "golden corpus fingerprints" `Quick golden_pins;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "one memo, many programs" `Quick
+            shared_memo_programs;
         ] );
       ("scale", [ Alcotest.test_case "gen:stress:1 full flow" `Quick stress_flows_linear ]);
       ( "names",
