@@ -1649,31 +1649,42 @@ let corpus_bench ?(smoke = false) () =
 
 (* --- B11: A/B comparator over two BENCH_flow.json files. --- *)
 
+let read_doc cmd path =
+  match Lp_json.parse (In_channel.with_open_bin path In_channel.input_all) with
+  | Ok doc -> doc
+  | Error msg ->
+      Printf.eprintf "bench %s: %s: %s\n" cmd path msg;
+      exit 2
+  | exception Sys_error msg ->
+      Printf.eprintf "bench %s: %s\n" cmd msg;
+      exit 2
+
 let compare_files old_path new_path =
   let module Compare = Lp_bench.Compare in
   section (Printf.sprintf "B11: bench compare %s -> %s" old_path new_path);
-  let read path =
-    match Lp_json.parse (In_channel.with_open_bin path In_channel.input_all) with
-    | Ok doc -> doc
-    | Error msg ->
-        Printf.eprintf "bench compare: %s: %s\n" path msg;
-        exit 2
-    | exception Sys_error msg ->
-        Printf.eprintf "bench compare: %s\n" msg;
-        exit 2
-  in
-  let old_doc = read old_path in
-  let new_doc = read new_path in
+  let old_doc = read_doc "compare" old_path in
+  let new_doc = read_doc "compare" new_path in
   let report = Compare.diff ~old_doc ~new_doc in
   print_string (Compare.render report);
   if report.Compare.failures <> [] then exit 1
+
+(* The absolute gates of one document: what tier-1 checks of the merged
+   smoke document. A smoke run has no like-for-like reference to be
+   A/B-compared with, and [compare] refuses unlike pairs. *)
+let check_file path =
+  section (Printf.sprintf "B11: bench check %s" path);
+  match Lp_bench.Compare.check_doc (read_doc "check" path) with
+  | [] -> print_string "all absolute gates pass\n"
+  | fs ->
+      List.iter (fun f -> Printf.printf "  - %s\n" f) fs;
+      exit 1
 
 let usage () =
   print_endline
     "usage: main.exe \
      [table1|fig6|hwcost|ablation-f|ablation-rs|ablation-nmax|cache-sweep|ablation-opt|speed \
      [--smoke]|serve [--smoke]|explore [--smoke]|corpus \
-     [--smoke|--write]|compare OLD.json NEW.json|all]";
+     [--smoke|--write]|compare OLD.json NEW.json|check FILE.json|all]";
   exit 2
 
 let () =
@@ -1707,6 +1718,7 @@ let () =
   | [ "corpus"; "--smoke" ] -> corpus_bench ~smoke:true ()
   | [ "corpus"; "--write" ] -> corpus_write ()
   | [ "compare"; old_path; new_path ] -> compare_files old_path new_path
+  | [ "check"; path ] -> check_file path
   | [ "all" ] ->
       run_default ();
       ablation_f ();

@@ -95,7 +95,32 @@ let regress_failure (g : Gates.gate) ~old_v ~new_v =
              | Gates.Ceiling -> 100.0 *. f)
              g.Gates.why)
 
+(* The fields that make two runs of a block comparable: the bench
+   profile and the host's CPU count. *)
+let like_fields = [ "smoke"; "host_cpus" ]
+
+let unlike ~old_doc ~new_doc =
+  let blocks doc =
+    ("", doc) :: (match doc with J.Assoc kv -> kv | _ -> [])
+  in
+  List.concat_map
+    (fun (block, o) ->
+      let n = if block = "" then Some new_doc else J.member block new_doc in
+      List.filter_map
+        (fun field ->
+          match (J.member field o, Option.bind n (J.member field)) with
+          | Some a, Some b when not (J.equal a b) ->
+              Some
+                (Printf.sprintf
+                   "%s%s: old %s, new %s: unlike runs are not compared"
+                   (if block = "" then "" else block ^ ".")
+                   field (J.to_string a) (J.to_string b))
+          | _ -> None)
+        like_fields)
+    (blocks old_doc)
+
 let diff ~old_doc ~new_doc =
+  let mismatch = unlike ~old_doc ~new_doc in
   let old_m = metrics_of_doc old_doc in
   let new_m = metrics_of_doc new_doc in
   let names =
@@ -115,6 +140,7 @@ let diff ~old_doc ~new_doc =
         in
         let failure =
           match (Gates.find metric, old_v, new_v) with
+          | _ when mismatch <> [] -> None
           | Some g, Some o, Some n -> regress_failure g ~old_v:o ~new_v:n
           | Some g, Some o, None when Option.is_some g.Gates.max_regress ->
               Some
@@ -127,7 +153,8 @@ let diff ~old_doc ~new_doc =
       names
   in
   let failures =
-    List.filter_map (fun r -> r.failure) rows @ check_doc new_doc
+    if mismatch <> [] then mismatch
+    else List.filter_map (fun r -> r.failure) rows @ check_doc new_doc
   in
   { rows; failures }
 

@@ -10,7 +10,12 @@
     (schemas grow; the comparator must tolerate both directions), with
     one exception: a metric that is {e gated} and present in OLD but
     absent from NEW fails — losing a gated measurement is itself a
-    regression. *)
+    regression.
+
+    Only like runs are compared: when a block of both documents (or the
+    document itself) carries a [smoke] flag or a [host_cpus] count and
+    the two differ, {!diff} gates nothing and fails with one message per
+    mismatch instead. *)
 
 val metrics_of_doc : Lp_json.t -> (string * float) list
 (** Named scalar metrics in report order. Tolerant of absent blocks:
@@ -36,7 +41,8 @@ val check_doc : Lp_json.t -> string list
 val diff : old_doc:Lp_json.t -> new_doc:Lp_json.t -> report
 (** Per-metric deltas plus A/B gate checks {e and} the absolute checks
     of [new_doc] (a compare run should not pass on a document that
-    violates a floor outright). *)
+    violates a floor outright). For unlike documents the deltas are
+    still listed, but the failures are the mismatches alone. *)
 
 val render : report -> string
 (** Human-readable table, one metric per line, failures summarised at

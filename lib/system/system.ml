@@ -100,13 +100,31 @@ type prepared = {
   p_mini : program;
       (** constant skeleton; its array [init] images alias [p_scratch] *)
   p_scratch : (int * int array) list;
-      (** (shared-memory word base, buffer) per program array; refilled
+      (** (shared-memory word base, buffer) per array the task names; refilled
           from machine memory before each run — {!Lp_ir.Interp.run}
           copies [init] images, so reuse is safe *)
   p_mailbox_img : int array;
   p_stream : (string, unit) Hashtbl.t;  (** membership set of stream arrays *)
   p_array_base : (string, int) Hashtbl.t;  (** shared name -> word base *)
 }
+
+(* The arrays a task's statements name. A task makes no calls
+   ([Cluster.asic_candidate]), so it can reach no other array: the rest
+   need not be copied in and out around every invocation. *)
+let task_arrays stmts =
+  let names = Hashtbl.create 8 in
+  let name a = Hashtbl.replace names a () in
+  let expr e = List.iter name (expr_arrays e) in
+  iter_stmts
+    (fun s ->
+      match s.node with
+      | Assign (_, e) | Print e | Expr e | Return (Some e) -> expr e
+      | Store (a, i, v) -> name a; expr i; expr v
+      | If (c, _, _) | While (c, _) -> expr c
+      | For (_, lo, hi, _) -> expr lo; expr hi
+      | Return None -> ())
+    stmts;
+  names
 
 let prepare_task (p : program) (layout : Compiler.layout) array_base task =
   let mailbox_slots = List.assoc task.acall_id layout.Compiler.mailbox_slots in
@@ -117,14 +135,15 @@ let prepare_task (p : program) (layout : Compiler.layout) array_base task =
       (("", max_int) :: mailbox_slots)
   in
   let n_slots = List.length mailbox_slots in
+  let named = task_arrays task.stmts in
+  let used = List.filter (fun a -> Hashtbl.mem named a.aname) p.arrays in
   let scratch =
-    List.map (fun a -> (Hashtbl.find array_base a.aname, Array.make a.size 0))
-      p.arrays
+    List.map (fun a -> (Hashtbl.find array_base a.aname, Array.make a.size 0)) used
   in
   let arrays =
     List.map2
       (fun a (_, buf) -> { aname = a.aname; size = a.size; init = Some buf })
-      p.arrays scratch
+      used scratch
   in
   let mailbox_img = Array.make (max n_slots 1) 0 in
   let arrays =

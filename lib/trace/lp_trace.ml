@@ -127,7 +127,7 @@ let close () =
   | None -> ()
   | Some s -> s.close ()
 
-let now_s = Unix.gettimeofday
+let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 let dom_id () = (Domain.self () :> int)
 
 let counter name value =

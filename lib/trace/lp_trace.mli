@@ -20,13 +20,15 @@
     The JSON-lines sink writes one object per line, modelled on the
     Chrome trace-event format:
 
-    {[ {"ph":"B","name":"flow.profile","dom":0,"ts":1722950000.123456}
-       {"ph":"E","name":"flow.profile","dom":0,"ts":1722950000.125001}
+    {[ {"ph":"B","name":"flow.profile","dom":0,"ts":5123.123456}
+       {"ph":"E","name":"flow.profile","dom":0,"ts":5123.125001}
        {"ph":"C","name":"flow.candidates.pairs","dom":0,"ts":...,"value":38} ]}
 
     [ph] is ["B"] (span begin), ["E"] (span end) or ["C"] (counter);
-    [ts] is [Unix.gettimeofday] seconds printed with microsecond
-    precision; [dom] is the integer id of the emitting domain. *)
+    [ts] is {!now_s} seconds printed with microsecond precision: a
+    monotonic clock with an arbitrary origin, so only differences
+    between timestamps mean anything; [dom] is the integer id of the
+    emitting domain. *)
 
 (** {1 Events} *)
 
@@ -38,7 +40,7 @@ type phase =
 type event = {
   ph : phase;  (** what kind of event this is *)
   name : string;  (** span or counter name, e.g. ["flow.cluster"] *)
-  ts_s : float;  (** [Unix.gettimeofday] at emission, seconds *)
+  ts_s : float;  (** {!now_s} at emission, seconds *)
   dom : int;  (** id of the emitting domain *)
   value : int;  (** counter sample; [0] for [Begin]/[End] *)
 }
@@ -98,7 +100,10 @@ val close : unit -> unit
 (** {1 Emission} *)
 
 val now_s : unit -> float
-(** The clock used for event timestamps ([Unix.gettimeofday]). *)
+(** The clock used for event timestamps and span durations: the
+    monotonic clock, in seconds from an arbitrary origin. It never steps
+    back when the wall clock is reset, and it is the clock the
+    benchmark harness times its ladder with. *)
 
 val with_span : string -> (unit -> 'a) -> 'a
 (** [with_span name f] runs [f ()] between a [Begin] and an [End]

@@ -126,6 +126,60 @@ let test_diff () =
   Alcotest.(check bool) "clean report says so" true
     (contains rendered "all gates pass")
 
+(* --- unlike pairs ---------------------------------------------------- *)
+
+(* [healthy] with a bench profile and a host CPU count in its corpus and
+   service blocks. *)
+let tagged ?(mips = 250.0) ~smoke ~cpus () =
+  parse
+    (Printf.sprintf
+       {|{"sim":{"iss_mips":%g},
+          "corpus":{"jobs":1,"parallel_speedup":1.02,"total_flow_ms":300.0,
+                    "host_cpus":%d,"smoke":%b},
+          "service":{"smoke":%b,"totals":{"warm_speedup":3.0}}}|}
+       mips cpus smoke smoke)
+
+let test_unlike () =
+  let contains hay needle =
+    let nh = String.length hay and nn = String.length needle in
+    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+    go 0
+  in
+  let full = tagged ~smoke:false ~cpus:2 () in
+  Alcotest.(check (list string)) "like runs are compared" []
+    (Compare.diff ~old_doc:full ~new_doc:(tagged ~smoke:false ~cpus:2 ()))
+      .Compare.failures;
+  (* A smoke run against a full one: one failure per block that differs,
+     each naming its field, and no gate is applied. *)
+  let r =
+    Compare.diff ~old_doc:full ~new_doc:(tagged ~mips:50.0 ~smoke:true ~cpus:2 ())
+  in
+  Alcotest.(check int) "smoke differs in two blocks" 2
+    (List.length r.Compare.failures);
+  Alcotest.(check bool) "names corpus.smoke" true
+    (List.exists (fun f -> contains f "corpus.smoke") r.Compare.failures);
+  Alcotest.(check bool) "names service.smoke" true
+    (List.exists (fun f -> contains f "service.smoke") r.Compare.failures);
+  Alcotest.(check bool) "the collapsed iss_mips is not gated" false
+    (List.exists (fun f -> contains f "iss_mips") r.Compare.failures);
+  Alcotest.(check bool) "no row fails" true
+    (List.for_all (fun row -> row.Compare.failure = None) r.Compare.rows);
+  Alcotest.(check bool) "deltas still listed" true
+    (List.exists (fun row -> row.Compare.metric = "iss_mips") r.Compare.rows);
+  (* Another host: the CPU count alone refuses the pair. *)
+  (match (Compare.diff ~old_doc:full ~new_doc:(tagged ~smoke:false ~cpus:4 ())).Compare.failures with
+  | [ f ] ->
+      Alcotest.(check bool) "names corpus.host_cpus" true
+        (contains f "corpus.host_cpus" && contains f "old 2" && contains f "new 4")
+  | fs -> Alcotest.failf "expected one host_cpus mismatch, got %d" (List.length fs));
+  (* A flag only one side carries is no mismatch. *)
+  Alcotest.(check (list string)) "one-sided flag is ignored" []
+    (Compare.diff ~old_doc:full ~new_doc:healthy).Compare.failures;
+  Alcotest.(check bool) "top-level flag is checked too" true
+    ((Compare.diff ~old_doc:(parse {|{"smoke":false}|})
+        ~new_doc:(parse {|{"smoke":true}|})).Compare.failures
+    <> [])
+
 (* --- corpus manifest round-trip ----------------------------------- *)
 
 let test_corpus_roundtrip () =
@@ -162,6 +216,7 @@ let () =
           Alcotest.test_case "metric extraction" `Quick test_metrics;
           Alcotest.test_case "absolute gates" `Quick test_absolute_gates;
           Alcotest.test_case "A/B regression" `Quick test_diff;
+          Alcotest.test_case "unlike pairs refused" `Quick test_unlike;
         ] );
       ( "corpus",
         [
