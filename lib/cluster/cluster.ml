@@ -72,8 +72,7 @@ let asic_candidate c = not (contains_call c || contains_return c)
 
 let static_ops c =
   fold_stmts
-    (fun acc s ->
-      let expr_part = List.concat_map expr_ops (stmt_exprs s) in
+    (fun chunks s ->
       let own =
         match s.node with
         | Store _ -> [ Op.Store ]
@@ -82,8 +81,9 @@ let static_ops c =
         | For _ -> [ Op.Add; Op.Cmp ] (* index increment + exit test *)
         | Assign _ | If _ | While _ | Return _ | Expr _ -> []
       in
-      acc @ expr_part @ own)
+      List.fold_right expr_ops_onto (stmt_exprs s) own :: chunks)
     [] c.stmts
+  |> List.rev |> List.concat
 
 let arrays_touched c =
   let add acc a = if List.mem a acc then acc else a :: acc in
@@ -160,21 +160,16 @@ let segments c =
   List.rev !out
 
 let segment_ops seg =
-  let expr_part = List.concat_map expr_ops seg.seg_exprs in
-  let stmt_part =
-    List.concat_map
-      (fun s ->
-        match s.node with
-        | Assign (_, (Int _ | Var _)) -> [ Op.Move ]
-        | Assign (_, e) -> expr_ops e
-        | Store (_, i, v) -> expr_ops i @ expr_ops v @ [ Op.Store ]
-        | Print e -> expr_ops e @ [ Op.Move ]
-        | Expr e | Return (Some e) -> expr_ops e
-        | Return None -> []
-        | If _ | While _ | For _ -> [])
-      seg.seg_stmts
+  let stmt_ops s tail =
+    match s.node with
+    | Assign (_, (Int _ | Var _)) -> Op.Move :: tail
+    | Assign (_, e) | Expr e | Return (Some e) -> expr_ops_onto e tail
+    | Store (_, i, v) -> expr_ops_onto i (expr_ops_onto v (Op.Store :: tail))
+    | Print e -> expr_ops_onto e (Op.Move :: tail)
+    | Return None | If _ | While _ | For _ -> tail
   in
-  expr_part @ stmt_part
+  List.fold_right expr_ops_onto seg.seg_exprs
+    (List.fold_right stmt_ops seg.seg_stmts [])
 
 let dynamic_ops c ~profile =
   let times sid =

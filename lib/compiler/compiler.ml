@@ -1,6 +1,7 @@
 open Lp_ir.Ast
 module Isa = Lp_isa.Isa
 module Asm = Lp_isa.Asm
+module Names = Hashtbl.Make (String)
 
 type asic_stub = {
   acall_id : int;
@@ -26,17 +27,28 @@ let imm_ok n = n >= -32768 && n <= 32767
 
 type loc = Reg of int | Slot of int
 
-(* Per-function code-generation context. *)
+(* The whole program's assembly stream, newest item first: every
+   function appends to the same list. *)
+type buffer = { mutable items : Asm.item list }
+
+(* Per-function code-generation context. Free temporaries form a stack
+   (the most recently freed is reused first); [in_use] is a bit set, and
+   [alloc_time] orders the live temporaries by allocation, newest
+   first, when a call saves them. *)
 type fctx = {
-  mutable items : Asm.item list;  (** reversed *)
-  homes : (string, loc) Hashtbl.t;
-  mutable free_temps : int list;
-  mutable in_use : int list;
+  buf : buffer;
+  homes : loc Names.t;
+  free : int array;
+  mutable n_free : int;
+  mutable in_use : int;
+  alloc_time : int array;
+  mutable clock : int;
   n_spill : int;
   epilogue : string;
 }
 
-let emit ctx item = ctx.items <- item :: ctx.items
+let emit ctx item = ctx.buf.items <- item :: ctx.buf.items
+
 let ins ctx i = emit ctx (Asm.Instr i)
 
 (* Domain-local so concurrent compiles (one flow run per worker domain)
@@ -47,23 +59,35 @@ let label_counter = Domain.DLS.new_key (fun () -> ref 0)
 let fresh_label prefix =
   let counter = Domain.DLS.get label_counter in
   incr counter;
-  Printf.sprintf "%s%d" prefix !counter
+  prefix ^ string_of_int !counter
 
 let alloc_temp ctx =
-  match ctx.free_temps with
-  | [] -> fail "expression too deep: temporary registers exhausted"
-  | t :: rest ->
-      ctx.free_temps <- rest;
-      ctx.in_use <- t :: ctx.in_use;
-      t
+  if ctx.n_free = 0 then fail "expression too deep: temporary registers exhausted";
+  ctx.n_free <- ctx.n_free - 1;
+  let t = ctx.free.(ctx.n_free) in
+  ctx.in_use <- ctx.in_use lor (1 lsl t);
+  ctx.alloc_time.(t) <- ctx.clock;
+  ctx.clock <- ctx.clock + 1;
+  t
 
 let free_temp ctx r =
-  if List.mem r ctx.in_use then begin
-    ctx.in_use <- List.filter (fun x -> x <> r) ctx.in_use;
-    ctx.free_temps <- r :: ctx.free_temps
+  if ctx.in_use land (1 lsl r) <> 0 then begin
+    ctx.in_use <- ctx.in_use land lnot (1 lsl r);
+    ctx.free.(ctx.n_free) <- r;
+    ctx.n_free <- ctx.n_free + 1
   end
 
-let free_if ctx (r, owned) = if owned then free_temp ctx r
+let live_temps ctx =
+  List.filter (fun r -> ctx.in_use land (1 lsl r) <> 0) Isa.tmp_regs
+  |> List.sort (fun a b -> compare ctx.alloc_time.(b) ctx.alloc_time.(a))
+
+(* An evaluated operand is an int, not a pair, so evaluation allocates
+   nothing of its own: its register (below [owned], as there are 32),
+   plus [owned] when it is a temporary the caller must free. *)
+let owned = 64
+let reg o = o land (owned - 1)
+let is_owned o = o land owned <> 0
+let free_if ctx o = if is_owned o then free_temp ctx (reg o)
 
 (* Save slot (sp-relative) of a temporary register around calls. *)
 let temp_slot ctx r =
@@ -74,9 +98,9 @@ let temp_slot ctx r =
   ctx.n_spill + index 0 Isa.tmp_regs
 
 let home ctx v =
-  match Hashtbl.find_opt ctx.homes v with
-  | Some l -> l
-  | None -> fail "no home for scalar %S" v
+  match Names.find ctx.homes v with
+  | l -> l
+  | exception Not_found -> fail "no home for scalar %S" v
 
 (* Memory access at [base + contents of ri]; falls back to the scratch
    register when the base exceeds the immediate range. *)
@@ -106,35 +130,37 @@ let cmp_of_binop = function
   | Add | Sub | Mul | Div | Mod | And | Or | Xor | Shl | Shr ->
       fail "not a comparison"
 
-(* Evaluate an expression; returns (register, owned). Owned registers
-   are temporaries the caller must free; non-owned ones are scalar
-   homes that must not be clobbered. *)
+(* Evaluate an expression into an operand. Owned registers are
+   temporaries the caller must free; non-owned ones are scalar homes
+   that must not be clobbered. *)
 let rec eval ctx arrays e =
   match e with
   | Int n ->
       let t = alloc_temp ctx in
       ins ctx (Isa.Li (t, n));
-      (t, true)
+      t lor owned
   | Var v -> (
       match home ctx v with
-      | Reg r -> (r, false)
+      | Reg r -> r
       | Slot k ->
           let t = alloc_temp ctx in
           ins ctx (Isa.Ld (t, Isa.sp_reg, k));
-          (t, true))
+          t lor owned)
   | Load (a, i) ->
       let base =
         match List.assoc_opt a arrays with
         | Some b -> b
         | None -> fail "unknown array %S" a
       in
-      let ri, oi = eval ctx arrays i in
-      let td = if oi then ri else alloc_temp ctx in
+      let i = eval ctx arrays i in
+      let ri = reg i in
+      let td = if is_owned i then ri else alloc_temp ctx in
       mem_load ctx td ri base;
-      (td, true)
+      td lor owned
   | Binop (op, x, y) ->
-      let rx, ox = eval ctx arrays x in
-      let ry, oy = eval ctx arrays y in
+      let x = eval ctx arrays x in
+      let y = eval ctx arrays y in
+      let rx = reg x and ox = is_owned x and ry = reg y and oy = is_owned y in
       let td =
         if ox then rx else if oy then ry else alloc_temp ctx
       in
@@ -154,15 +180,16 @@ let rec eval ctx arrays e =
       (* td reused rx (when owned), else ry (when owned), else is
          fresh; only a doubly-owned pair leaves ry to release. *)
       if ox && oy then free_temp ctx ry;
-      (td, true)
+      td lor owned
   | Unop (op, x) ->
-      let rx, ox = eval ctx arrays x in
-      let td = if ox then rx else alloc_temp ctx in
+      let x = eval ctx arrays x in
+      let rx = reg x in
+      let td = if is_owned x then rx else alloc_temp ctx in
       (match op with
       | Neg -> ins ctx (Isa.Sub (td, Isa.zero_reg, rx))
       | Bnot -> ins ctx (Isa.Xori (td, rx, -1))
       | Lnot -> ins ctx (Isa.Set (Isa.Ceq, td, rx, Isa.zero_reg)));
-      (td, true)
+      td lor owned
   | Call (f, args) ->
       if List.length args > List.length Isa.arg_regs then
         fail "call to %S: more than %d arguments" f (List.length Isa.arg_regs);
@@ -170,8 +197,9 @@ let rec eval ctx arrays e =
       let arg_temps =
         List.map
           (fun a ->
-            let r, owned = eval ctx arrays a in
-            if owned then r
+            let o = eval ctx arrays a in
+            let r = reg o in
+            if is_owned o then r
             else begin
               let t = alloc_temp ctx in
               ins ctx (Isa.Mov (t, r));
@@ -185,13 +213,13 @@ let rec eval ctx arrays e =
         arg_temps;
       List.iter (free_temp ctx) arg_temps;
       (* Caller-save the live temporaries across the call. *)
-      let live = ctx.in_use in
+      let live = live_temps ctx in
       List.iter (fun t -> ins ctx (Isa.St (t, Isa.sp_reg, temp_slot ctx t))) live;
       emit ctx (Asm.Jal_l ("f_" ^ f));
       List.iter (fun t -> ins ctx (Isa.Ld (t, Isa.sp_reg, temp_slot ctx t))) live;
       let t = alloc_temp ctx in
       ins ctx (Isa.Mov (t, Isa.ret_val_reg));
-      (t, true)
+      t lor owned
 
 let store_home ctx v r =
   match home ctx v with
@@ -201,43 +229,70 @@ let store_home ctx v r =
 let load_home ctx v =
   (* Like [eval (Var v)] but as a statement helper. *)
   match home ctx v with
-  | Reg r -> (r, false)
+  | Reg r -> r
   | Slot k ->
       let t = alloc_temp ctx in
       ins ctx (Isa.Ld (t, Isa.sp_reg, k));
-      (t, true)
+      t lor owned
 
-let hidden_hi sid = Printf.sprintf "$hi%d" sid
+let hidden_hi sid = "$hi" ^ string_of_int sid
+
+(* What an entry-function statement becomes in a partitioned compile:
+   the first statement of a stub's cluster becomes its handshake, the
+   others disappear. *)
+type stubbed = Head of asic_stub | Member
 
 type genv = {
   arrays : (string * int) list;
-  stubs : asic_stub list;
+  stubbed : (int, stubbed) Hashtbl.t;  (** by top-level sid *)
   slots : (int * (string * int) list) list;  (** acall_id -> var -> addr *)
 }
+
+(* A sid heading several stubs' lists belongs to the first of them, and
+   heading one wins over belonging to another. *)
+let index_stubs stubs =
+  let t = Hashtbl.create 64 in
+  List.iter
+    (fun st -> List.iter (fun sid -> Hashtbl.replace t sid Member) st.top_sids)
+    stubs;
+  List.iter
+    (fun st ->
+      match st.top_sids with
+      | h :: _ -> (
+          match Hashtbl.find_opt t h with
+          | Some (Head _) -> ()
+          | Some Member | None -> Hashtbl.replace t h (Head st))
+      | [] -> ())
+    stubs;
+  t
 
 let rec compile_stmt genv ctx s =
   match s.node with
   | Assign (v, e) ->
-      let r, o = eval ctx genv.arrays e in
+      let o = eval ctx genv.arrays e in
+      let r = reg o in
       store_home ctx v r;
-      free_if ctx (r, o)
+      free_if ctx o
   | Store (a, i, e) ->
       let base =
         match List.assoc_opt a genv.arrays with
         | Some b -> b
         | None -> fail "unknown array %S" a
       in
-      let ri, oi = eval ctx genv.arrays i in
-      let rv, ov = eval ctx genv.arrays e in
+      let oi = eval ctx genv.arrays i in
+      let ri = reg oi in
+      let ov = eval ctx genv.arrays e in
+      let rv = reg ov in
       mem_store ctx rv ri base;
-      free_if ctx (ri, oi);
-      free_if ctx (rv, ov)
+      free_if ctx oi;
+      free_if ctx ov
   | If (c, t, e) ->
       let l_else = fresh_label "Lelse" in
       let l_end = fresh_label "Lend" in
-      let rc, oc = eval ctx genv.arrays c in
+      let oc = eval ctx genv.arrays c in
+      let rc = reg oc in
       emit ctx (Asm.Beqz_l (rc, l_else));
-      free_if ctx (rc, oc);
+      free_if ctx oc;
       List.iter (compile_stmt genv ctx) t;
       emit ctx (Asm.Jmp_l l_end);
       emit ctx (Asm.Label l_else);
@@ -247,9 +302,10 @@ let rec compile_stmt genv ctx s =
       let l_head = fresh_label "Lwhile" in
       let l_end = fresh_label "Lend" in
       emit ctx (Asm.Label l_head);
-      let rc, oc = eval ctx genv.arrays c in
+      let oc = eval ctx genv.arrays c in
+      let rc = reg oc in
       emit ctx (Asm.Beqz_l (rc, l_end));
-      free_if ctx (rc, oc);
+      free_if ctx oc;
       List.iter (compile_stmt genv ctx) b;
       emit ctx (Asm.Jmp_l l_head);
       emit ctx (Asm.Label l_end)
@@ -257,45 +313,50 @@ let rec compile_stmt genv ctx s =
       let l_head = fresh_label "Lfor" in
       let l_end = fresh_label "Lend" in
       let hi_name = hidden_hi s.sid in
-      let r_lo, o_lo = eval ctx genv.arrays lo in
+      let o_lo = eval ctx genv.arrays lo in
+      let r_lo = reg o_lo in
       store_home ctx v r_lo;
-      free_if ctx (r_lo, o_lo);
-      let r_hi, o_hi = eval ctx genv.arrays hi in
+      free_if ctx o_lo;
+      let o_hi = eval ctx genv.arrays hi in
+      let r_hi = reg o_hi in
       store_home ctx hi_name r_hi;
-      free_if ctx (r_hi, o_hi);
+      free_if ctx o_hi;
       emit ctx (Asm.Label l_head);
-      let rv, ov = load_home ctx v in
-      let rh, oh = load_home ctx hi_name in
+      let ov = load_home ctx v in
+      let rv = reg ov in
+      let oh = load_home ctx hi_name in
+      let rh = reg oh in
       let t = alloc_temp ctx in
       ins ctx (Isa.Set (Isa.Clt, t, rv, rh));
-      free_if ctx (rv, ov);
-      free_if ctx (rh, oh);
+      free_if ctx ov;
+      free_if ctx oh;
       emit ctx (Asm.Beqz_l (t, l_end));
       free_temp ctx t;
       List.iter (compile_stmt genv ctx) b;
       (* v := v + 1 *)
-      let rv, ov = load_home ctx v in
-      let td = if ov then rv else alloc_temp ctx in
+      let ov = load_home ctx v in
+      let rv = reg ov in
+      let td = if is_owned ov then rv else alloc_temp ctx in
       ins ctx (Isa.Addi (td, rv, 1));
       store_home ctx v td;
-      free_if ctx (td, true);
+      free_temp ctx td;
       emit ctx (Asm.Jmp_l l_head);
       emit ctx (Asm.Label l_end)
   | Print e ->
-      let r, o = eval ctx genv.arrays e in
+      let o = eval ctx genv.arrays e in
+      let r = reg o in
       ins ctx (Isa.Print r);
-      free_if ctx (r, o)
+      free_if ctx o
   | Return (Some e) ->
-      let r, o = eval ctx genv.arrays e in
+      let o = eval ctx genv.arrays e in
+      let r = reg o in
       ins ctx (Isa.Mov (Isa.ret_val_reg, r));
-      free_if ctx (r, o);
+      free_if ctx o;
       emit ctx (Asm.Jmp_l ctx.epilogue)
   | Return None ->
       ins ctx (Isa.Mov (Isa.ret_val_reg, Isa.zero_reg));
       emit ctx (Asm.Jmp_l ctx.epilogue)
-  | Expr e ->
-      let r, o = eval ctx genv.arrays e in
-      free_if ctx (r, o)
+  | Expr e -> free_if ctx (eval ctx genv.arrays e)
 
 (* The uP -> mailbox -> ASIC -> mailbox -> uP handshake (Section 3.3).
    Every mailbox scalar is deposited, not only the upward-exposed uses:
@@ -311,9 +372,10 @@ let compile_stub genv ctx stub =
   in
   List.iter
     (fun (v, _) ->
-      let r, o = load_home ctx v in
+      let o = load_home ctx v in
+      let r = reg o in
       mem_store ctx r Isa.zero_reg (slot v);
-      free_if ctx (r, o))
+      free_if ctx o)
     slots;
   ins ctx (Isa.Acall stub.acall_id);
   List.iter
@@ -324,22 +386,22 @@ let compile_stub genv ctx stub =
       free_temp ctx t)
     stub.gen_scalars
 
+type scalar = { name : string; first : int; mutable weight : int }
+
 (* All scalars of a function (parameters, locals, loop indices, hidden
    loop-bound slots), ordered by estimated dynamic access frequency:
    each static occurrence counts 4^loop-depth, so inner-loop scalars
    take the callee-saved registers and cold ones spill. Ties keep
    first-appearance order, so allocation is deterministic. *)
 let func_scalars f =
-  let order = Hashtbl.create 16 in
-  let weight = Hashtbl.create 16 in
-  let next = ref 0 in
+  let table = Names.create 64 and order = ref [] in
   let touch v w =
-    if not (Hashtbl.mem order v) then begin
-      Hashtbl.add order v !next;
-      incr next
-    end;
-    let prev = Option.value ~default:0 (Hashtbl.find_opt weight v) in
-    Hashtbl.replace weight v (prev + w)
+    match Names.find table v with
+    | s -> s.weight <- s.weight + w
+    | exception Not_found ->
+        let s = { name = v; first = Names.length table; weight = w } in
+        Names.add table v s;
+        order := s :: !order
   in
   let w_of depth = 1 lsl (2 * min depth 8) in
   List.iter (fun v -> touch v 1) f.params;
@@ -384,13 +446,13 @@ let func_scalars f =
         List.iter (stmt (depth + 1)) b
   in
   List.iter (stmt 0) f.body;
-  Hashtbl.fold (fun v ord acc -> (v, ord) :: acc) order []
-  |> List.sort (fun (va, oa) (vb, ob) ->
-         let wa = Hashtbl.find weight va and wb = Hashtbl.find weight vb in
-         match compare wb wa with 0 -> compare oa ob | c -> c)
-  |> List.map fst
+  List.sort
+    (fun a b ->
+      match compare b.weight a.weight with 0 -> compare a.first b.first | c -> c)
+    !order
+  |> List.map (fun s -> s.name)
 
-let compile_func genv ~is_entry f =
+let compile_func genv buf ~is_entry f =
   if List.length f.params > List.length Isa.arg_regs then
     fail "function %S has %d parameters; at most %d fit the argument registers"
       f.fname (List.length f.params) (List.length Isa.arg_regs);
@@ -398,11 +460,11 @@ let compile_func genv ~is_entry f =
   let n_regs = List.length Isa.saved_regs in
   let reg_scalars = List.filteri (fun i _ -> i < n_regs) scalars in
   let spill_scalars = List.filteri (fun i _ -> i >= n_regs) scalars in
-  let homes = Hashtbl.create 16 in
+  let homes = Names.create 64 in
   List.iteri
-    (fun i v -> Hashtbl.replace homes v (Reg (List.nth Isa.saved_regs i)))
+    (fun i v -> Names.replace homes v (Reg (List.nth Isa.saved_regs i)))
     reg_scalars;
-  List.iteri (fun i v -> Hashtbl.replace homes v (Slot i)) spill_scalars;
+  List.iteri (fun i v -> Names.replace homes v (Slot i)) spill_scalars;
   let n_spill = List.length spill_scalars in
   let used_saved = List.filteri (fun i _ -> i < n_regs) scalars |> List.length in
   let n_temp_save = List.length Isa.tmp_regs in
@@ -410,10 +472,13 @@ let compile_func genv ~is_entry f =
   let epilogue = fresh_label ("Lret_" ^ f.fname) in
   let ctx =
     {
-      items = [];
+      buf;
       homes;
-      free_temps = Isa.tmp_regs;
-      in_use = [];
+      free = Array.of_list (List.rev Isa.tmp_regs);
+      n_free = List.length Isa.tmp_regs;
+      in_use = 0;
+      alloc_time = Array.make Isa.reg_count 0;
+      clock = 0;
       n_spill;
       epilogue;
     }
@@ -445,22 +510,12 @@ let compile_func genv ~is_entry f =
         | Slot k -> ins ctx (Isa.St (Isa.zero_reg, Isa.sp_reg, k)))
     scalars;
   (* Body, with ASIC stubs spliced in for the entry function. *)
-  let stub_head sid =
-    List.find_opt
-      (fun st -> match st.top_sids with h :: _ -> h = sid | [] -> false)
-      genv.stubs
-  in
-  let stub_member sid =
-    List.exists (fun st -> List.mem sid st.top_sids) genv.stubs
-  in
   List.iter
     (fun s ->
-      if is_entry then begin
-        match stub_head s.sid with
-        | Some st -> compile_stub genv ctx st
-        | None -> if not (stub_member s.sid) then compile_stmt genv ctx s
-      end
-      else compile_stmt genv ctx s)
+      match if is_entry then Hashtbl.find_opt genv.stubbed s.sid else None with
+      | Some (Head st) -> compile_stub genv ctx st
+      | Some Member -> ()
+      | None -> compile_stmt genv ctx s)
     f.body;
   ins ctx (Isa.Mov (Isa.ret_val_reg, Isa.zero_reg));
   (* Epilogue. *)
@@ -472,8 +527,7 @@ let compile_func genv ~is_entry f =
     Isa.saved_regs;
   ins ctx (Isa.Ld (Isa.ra_reg, Isa.sp_reg, frame - 1));
   ins ctx (Isa.Addi (Isa.sp_reg, Isa.sp_reg, frame));
-  ins ctx (Isa.Jr Isa.ra_reg);
-  List.rev ctx.items
+  ins ctx (Isa.Jr Isa.ra_reg)
 
 let build_layout (p : program) stubs =
   let array_bases, next =
@@ -486,10 +540,17 @@ let build_layout (p : program) stubs =
   let slots, next =
     List.fold_left
       (fun (acc, base) st ->
+        let seen = Hashtbl.create 16 in
         let vars =
           List.fold_left
-            (fun vs v -> if List.mem v vs then vs else vs @ [ v ])
+            (fun vs v ->
+              if Hashtbl.mem seen v then vs
+              else begin
+                Hashtbl.add seen v ();
+                v :: vs
+              end)
             [] (st.use_scalars @ st.gen_scalars)
+          |> List.rev
         in
         let assigned = List.mapi (fun i v -> (v, base + i)) vars in
         ((st.acall_id, assigned) :: acc, base + List.length vars))
@@ -509,22 +570,27 @@ let compile ?(stubs = []) ?(peephole = false) (p : program) =
   Domain.DLS.get label_counter := 0;
   let layout = build_layout p stubs in
   let genv =
-    { arrays = layout.array_bases; stubs; slots = layout.mailbox_slots }
+    {
+      arrays = layout.array_bases;
+      stubbed = index_stubs stubs;
+      slots = layout.mailbox_slots;
+    }
   in
-  let start =
-    [
-      Asm.Label "__start";
-      Asm.Instr (Isa.Li (Isa.sp_reg, layout.stack_top));
-      Asm.Jal_l ("f_" ^ p.entry);
-      Asm.Instr Isa.Halt;
-    ]
+  let buf =
+    {
+      items =
+        [
+          Asm.Instr Isa.Halt;
+          Asm.Jal_l ("f_" ^ p.entry);
+          Asm.Instr (Isa.Li (Isa.sp_reg, layout.stack_top));
+          Asm.Label "__start";
+        ];
+    }
   in
-  let funcs =
-    List.concat_map
-      (fun f -> compile_func genv ~is_entry:(f.fname = p.entry) f)
-      p.funcs
-  in
-  let items = start @ funcs in
+  List.iter
+    (fun f -> compile_func genv buf ~is_entry:(f.fname = p.entry) f)
+    p.funcs;
+  let items = List.rev buf.items in
   let items = if peephole then fst (Peephole.optimize items) else items in
   let prog =
     Asm.assemble ~entry:"__start" ~data_words:layout.data_words

@@ -9,9 +9,9 @@
     node with fewer than 16 of them allocates nothing; a wider node's
     list is reversed on each read. Concurrent reads are safe.
 
-    This is the shared substrate for the operation dataflow graphs, the
-    cluster control-flow chain and the netlist connectivity used across
-    the partitioning flow. *)
+    The cluster chain's graph is one, and so is the reference lowering
+    the tests compare segment DFGs against; the DFGs themselves are
+    frozen flat arrays ([Lp_ir.Dfg]). *)
 
 type t
 

@@ -175,9 +175,12 @@ let rec expr_calls_raw = function
 
 let expr_calls e = dedup (expr_calls_raw e)
 
-let rec expr_ops = function
-  | Int _ | Var _ -> []
-  | Load (_, i) -> expr_ops i @ [ Lp_tech.Op.Load ]
-  | Binop (op, a, b) -> expr_ops a @ expr_ops b @ [ op_of_binop op ]
-  | Unop (op, e) -> expr_ops e @ [ op_of_unop op ]
-  | Call (_, args) -> List.concat_map expr_ops args
+let rec expr_ops_onto e tail =
+  match e with
+  | Int _ | Var _ -> tail
+  | Load (_, i) -> expr_ops_onto i (Lp_tech.Op.Load :: tail)
+  | Binop (op, a, b) -> expr_ops_onto a (expr_ops_onto b (op_of_binop op :: tail))
+  | Unop (op, e) -> expr_ops_onto e (op_of_unop op :: tail)
+  | Call (_, args) -> List.fold_right expr_ops_onto args tail
+
+let expr_ops e = expr_ops_onto e []

@@ -116,3 +116,6 @@ val expr_calls : expr -> string list
 val expr_ops : expr -> Lp_tech.Op.t list
 (** Datapath operations an expression lowers to, in evaluation order
     (calls contribute nothing here; the callee is analysed separately). *)
+
+val expr_ops_onto : expr -> Lp_tech.Op.t list -> Lp_tech.Op.t list
+(** [expr_ops_onto e tail] is [expr_ops e @ tail], built in one pass. *)

@@ -1,4 +1,4 @@
-(** Two-pass assembler: symbolic labels to absolute instruction
+(** Assembler: symbolic labels to absolute instruction
     indices. The code generator emits {!item} streams; {!assemble}
     resolves them into an executable {!Isa.program}. *)
 

@@ -74,17 +74,19 @@ let result_json ?stages r = J.to_string (result ?stages r)
 let dfg_dot dfg =
   Lp_graph.Dot.render ~name:"dfg"
     ~node_label:(fun v ->
-      let info = Lp_ir.Dfg.node_info dfg v in
-      match info.Lp_ir.Dfg.array with
-      | Some a -> Printf.sprintf "%d: %s[%s]" v (Lp_tech.Op.to_string info.Lp_ir.Dfg.op) a
-      | None -> Printf.sprintf "%d: %s" v (Lp_tech.Op.to_string info.Lp_ir.Dfg.op))
+      let op = Lp_tech.Op.to_string (Lp_ir.Dfg.op dfg v) in
+      match Lp_ir.Dfg.array dfg v with
+      | Some a -> Printf.sprintf "%d: %s[%s]" v op a
+      | None -> Printf.sprintf "%d: %s" v op)
     ~node_attrs:(fun v ->
-      match (Lp_ir.Dfg.node_info dfg v).Lp_ir.Dfg.op with
+      match Lp_ir.Dfg.op dfg v with
       | Lp_tech.Op.Load | Lp_tech.Op.Store -> [ ("shape", "box") ]
       | Lp_tech.Op.Mul | Lp_tech.Op.Div | Lp_tech.Op.Mod ->
           [ ("shape", "diamond") ]
       | _ -> [])
-    (Lp_ir.Dfg.graph dfg)
+    ~nodes:(Lp_ir.Dfg.node_count dfg)
+    ~iter_edges:(fun f -> Lp_ir.Dfg.iter_edges f dfg)
+    ()
 
 let chain_dot chain =
   let g = Lp_graph.Digraph.create () in
@@ -105,4 +107,6 @@ let chain_dot chain =
       if Lp_cluster.Cluster.asic_candidate (List.nth chain v) then
         [ ("shape", "box"); ("style", "rounded") ]
       else [ ("shape", "box"); ("style", "dashed") ])
-    g
+    ~nodes:(Lp_graph.Digraph.node_count g)
+    ~iter_edges:(fun f -> Lp_graph.Digraph.iter_edges f g)
+    ()

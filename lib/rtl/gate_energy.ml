@@ -45,12 +45,11 @@ let estimate (_bind : Bind.result) segments (net : Netlist.t) =
       let active_geq_cycles = ref 0.0 in
       Array.iteri
         (fun v lat ->
-          let info = Lp_ir.Dfg.node_info sched.Sched.dfg v in
           let geq = float_of_int (Resource.geq sched.Sched.kind.(v)) in
           let gcyc = geq *. float_of_int lat in
           active_geq_cycles := !active_geq_cycles +. gcyc;
-          per_exec_active :=
-            !per_exec_active +. (activity_of_op info.Lp_ir.Dfg.op *. gcyc *. eg))
+          let activity = activity_of_op (Lp_ir.Dfg.op sched.Sched.dfg v) in
+          per_exec_active := !per_exec_active +. (activity *. gcyc *. eg))
         sched.Sched.latency;
       (* Idle share: every clocked-but-unused gate equivalent glitches
          at [idle_activity] — the "wasted energy" of Eq. (2). *)

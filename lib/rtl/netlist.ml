@@ -1,7 +1,7 @@
 module Bind = Lp_bind.Bind
 module Sched = Lp_sched.Sched
 module Resource = Lp_tech.Resource
-module Digraph = Lp_graph.Digraph
+module Dfg = Lp_ir.Dfg
 
 type t = {
   fus : (Resource.kind * int) list;
@@ -21,21 +21,18 @@ let control_base_geq = 250
    one prefix sum over the steps gives the live count at each boundary;
    the registers needed are its maximum. O(V + E + L). *)
 let max_live (sched : Sched.t) =
-  let g = Lp_ir.Dfg.graph sched.Sched.dfg in
+  let dfg = sched.Sched.dfg in
   let len = sched.Sched.length and start = sched.Sched.start in
   let delta = Array.make (len + 1) 0 in
-  let rec open_edges lo = function
-    | [] -> ()
-    | v :: rest ->
-        let hi = min len start.(v) in
-        if lo < hi then begin
-          delta.(lo) <- delta.(lo) + 1;
-          delta.(hi) <- delta.(hi) - 1
-        end;
-        open_edges lo rest
-  in
-  for u = 0 to Digraph.node_count g - 1 do
-    open_edges (max 0 (Sched.finish sched u)) (Digraph.succs g u)
+  for u = 0 to Dfg.node_count dfg - 1 do
+    let lo = max 0 (Sched.finish sched u) in
+    for e = dfg.Dfg.succ_off.(u) to dfg.Dfg.succ_off.(u + 1) - 1 do
+      let hi = min len start.(dfg.Dfg.succ.(e)) in
+      if lo < hi then begin
+        delta.(lo) <- delta.(lo) + 1;
+        delta.(hi) <- delta.(hi) - 1
+      end
+    done
   done;
   let best = ref 0 and live = ref 0 in
   for t = 0 to len - 1 do
@@ -52,8 +49,8 @@ let max_live (sched : Sched.t) =
    [next], and [seen] stamps a producer with the instance whose inputs
    last counted it. O(V + E). *)
 let mux_slices (s : Bind.segment_schedule) bound =
-  let g = Lp_ir.Dfg.graph s.Bind.sched.Sched.dfg in
-  let n = Digraph.node_count g in
+  let dfg = s.Bind.sched.Sched.dfg in
+  let n = Dfg.node_count dfg in
   let stride =
     1
     + List.fold_left
@@ -71,24 +68,19 @@ let mux_slices (s : Bind.segment_schedule) bound =
       first.(c) <- v)
     bound;
   let seen = Array.make (n_insts + n) (-1) in
-  let consumer = ref 0 and distinct = ref 0 in
-  let rec count_inputs = function
-    | [] -> ()
-    | u :: rest ->
-        let src = if producer.(u) >= 0 then producer.(u) else n_insts + u in
-        if seen.(src) <> !consumer then begin
-          seen.(src) <- !consumer;
-          incr distinct
-        end;
-        count_inputs rest
-  in
   let slices = ref 0 in
   for c = 0 to n_insts - 1 do
-    consumer := c;
-    distinct := 0;
+    let distinct = ref 0 in
     let v = ref first.(c) in
     while !v >= 0 do
-      count_inputs (Digraph.preds g !v);
+      for e = dfg.Dfg.pred_off.(!v) to dfg.Dfg.pred_off.(!v + 1) - 1 do
+        let u = dfg.Dfg.pred.(e) in
+        let src = if producer.(u) >= 0 then producer.(u) else n_insts + u in
+        if seen.(src) <> c then begin
+          seen.(src) <- c;
+          incr distinct
+        end
+      done;
       v := next.(!v)
     done;
     if !distinct > 1 then slices := !slices + !distinct - 1

@@ -1,21 +1,19 @@
 module Dfg = Lp_ir.Dfg
-module Digraph = Lp_graph.Digraph
 module Resource = Lp_tech.Resource
 
 (* Cheapest executable kind (and its latency) per operation — the same
    smallest-first policy as the rest of the flow. *)
 let kind_of dfg v =
-  match Resource.candidates (Dfg.node_info dfg v).Dfg.op with
+  match Resource.candidates (Dfg.op dfg v) with
   | [] -> invalid_arg "Fds: operation with no resource"
   | (k, lat) :: _ -> (k, lat)
 
 let min_latency dfg =
-  Lp_graph.Paths.critical_path_length (Dfg.graph dfg)
-    ~weight:(fun v -> snd (kind_of dfg v))
+  Array.fold_left max 0
+    (Dfg.longest_to_sinks dfg ~weight:(fun v -> snd (kind_of dfg v)))
 
 let schedule dfg ~latency =
-  let g = Dfg.graph dfg in
-  let n = Digraph.node_count g in
+  let n = Dfg.node_count dfg in
   if n = 0 then
     Some { Sched.dfg; start = [||]; kind = [||]; latency = [||]; length = 0 }
   else if latency < min_latency dfg then None
@@ -24,8 +22,8 @@ let schedule dfg ~latency =
     let lat = Array.init n (fun v -> snd (kind_of dfg v)) in
     let weight v = lat.(v) in
     (* Mobility windows, updated as operations are fixed. *)
-    let asap = Lp_graph.Paths.longest_from_roots g ~weight in
-    let to_leaves = Lp_graph.Paths.longest_to_leaves g ~weight in
+    let asap = Dfg.longest_from_sources dfg ~weight in
+    let to_leaves = Dfg.longest_to_sinks dfg ~weight in
     let alap = Array.init n (fun v -> latency - to_leaves.(v)) in
     let fixed = Array.make n false in
     (* Distribution graph per kind: expected occupancy per step. *)
@@ -48,7 +46,9 @@ let schedule dfg ~latency =
         done
       done
     in
-    Digraph.iter_nodes (fun v -> add_distribution 1.0 v) g;
+    for v = 0 to n - 1 do
+      add_distribution 1.0 v
+    done;
     (* Force of placing v at t: occupancy above the window average. *)
     let force v t =
       let a = dg_of kind.(v) in
@@ -67,48 +67,49 @@ let schedule dfg ~latency =
       occupancy t -. (!avg /. float_of_int w)
     in
     (* Constraint propagation after fixing v at t. *)
+    let succ = dfg.Dfg.succ and succ_off = dfg.Dfg.succ_off in
+    let pred = dfg.Dfg.pred and pred_off = dfg.Dfg.pred_off in
     let rec tighten_succs v =
-      List.iter
-        (fun w ->
-          if not fixed.(w) then begin
-            let lb = asap.(v) + lat.(v) in
-            if lb > asap.(w) then begin
-              add_distribution (-1.0) w;
-              asap.(w) <- lb;
-              add_distribution 1.0 w;
-              tighten_succs w
-            end
-          end)
-        (Digraph.succs g v)
+      for e = succ_off.(v) to succ_off.(v + 1) - 1 do
+        let w = succ.(e) in
+        if not fixed.(w) then begin
+          let lb = asap.(v) + lat.(v) in
+          if lb > asap.(w) then begin
+            add_distribution (-1.0) w;
+            asap.(w) <- lb;
+            add_distribution 1.0 w;
+            tighten_succs w
+          end
+        end
+      done
     and tighten_preds v =
-      List.iter
-        (fun u ->
-          if not fixed.(u) then begin
-            let ub = alap.(v) - lat.(u) in
-            if ub < alap.(u) then begin
-              add_distribution (-1.0) u;
-              alap.(u) <- ub;
-              add_distribution 1.0 u;
-              tighten_preds u
-            end
-          end)
-        (Digraph.preds g v)
+      for e = pred_off.(v) to pred_off.(v + 1) - 1 do
+        let u = pred.(e) in
+        if not fixed.(u) then begin
+          let ub = alap.(v) - lat.(u) in
+          if ub < alap.(u) then begin
+            add_distribution (-1.0) u;
+            alap.(u) <- ub;
+            add_distribution 1.0 u;
+            tighten_preds u
+          end
+        end
+      done
     in
     (* Fix one operation per round: the (op, step) pair of least force
        among the ops with the smallest remaining mobility (ties by id
        for determinism). *)
     for _round = 1 to n do
       let best = ref None in
-      Digraph.iter_nodes
-        (fun v ->
-          if not fixed.(v) then
-            for t = asap.(v) to alap.(v) do
-              let f = force v t in
-              match !best with
-              | Some (_, _, f') when f' <= f -> ()
-              | _ -> best := Some (v, t, f)
-            done)
-        g;
+      for v = 0 to n - 1 do
+        if not fixed.(v) then
+          for t = asap.(v) to alap.(v) do
+            let f = force v t in
+            match !best with
+            | Some (_, _, f') when f' <= f -> ()
+            | _ -> best := Some (v, t, f)
+          done
+      done;
       match !best with
       | None -> ()
       | Some (v, t, _) ->

@@ -1,5 +1,4 @@
 module Dfg = Lp_ir.Dfg
-module Digraph = Lp_graph.Digraph
 module Resource = Lp_tech.Resource
 module Resource_set = Lp_tech.Resource_set
 
@@ -13,9 +12,10 @@ type t = {
 
 (* Operations with the same candidate list schedule alike: they form
    one class, and each class is resolved against a resource set once per
-   [schedule] call rather than once per node and control step. *)
+   [schedule] call rather than once per node and control step.
+   [op_class] is indexed by [Op.index]. *)
 let classes, op_class =
-  let lists = ref [] and table = Hashtbl.create 17 in
+  let lists = ref [] and table = Array.make Lp_tech.Op.count 0 in
   List.iter
     (fun op ->
       let cands = Resource.candidates op in
@@ -25,7 +25,7 @@ let classes, op_class =
             i
         | l :: rest -> if l = cands then i else index (i + 1) rest
       in
-      Hashtbl.replace table op (index 0 !lists))
+      table.(Lp_tech.Op.index op) <- index 0 !lists)
     Lp_tech.Op.all;
   (Array.of_list (List.map Array.of_list !lists), table)
 
@@ -37,20 +37,17 @@ let max_latency =
     (Array.fold_left (fun acc (_, l) -> max acc l))
     1 classes
 
-let class_of dfg v = Hashtbl.find op_class (Dfg.node_info dfg v).op
+let class_of dfg v = op_class.(Lp_tech.Op.index (Dfg.op dfg v))
 
 let min_latency dfg v = class_min_latency.(class_of dfg v)
 
-let asap dfg =
-  Lp_graph.Paths.longest_from_roots (Dfg.graph dfg) ~weight:(min_latency dfg)
+let asap dfg = Dfg.longest_from_sources dfg ~weight:(min_latency dfg)
 
 let critical_path dfg =
-  Lp_graph.Paths.critical_path_length (Dfg.graph dfg) ~weight:(min_latency dfg)
+  Array.fold_left max 0 (Dfg.longest_to_sinks dfg ~weight:(min_latency dfg))
 
 let alap dfg ~length =
-  let to_leaves =
-    Lp_graph.Paths.longest_to_leaves (Dfg.graph dfg) ~weight:(min_latency dfg)
-  in
+  let to_leaves = Dfg.longest_to_sinks dfg ~weight:(min_latency dfg) in
   Array.map (fun d -> length - d) to_leaves
 
 let mobility dfg =
@@ -62,34 +59,22 @@ let mobility dfg =
 module Int_heap = Lp_graph.Int_heap
 
 (* Everything about a DFG that no resource set changes: each node's
-   class, its priority (longest path to a sink, over minimum latencies),
-   its in-degree and its successors in one flat array. *)
+   class, its priority (longest path to a sink, over minimum latencies)
+   and its in-degree. Successors are read from the DFG's own rows. *)
 type prepared = {
   p_dfg : Dfg.t;
   cls : int array;
   key : int array;  (** heap key: priority descending, then node id *)
   indeg : int array;
-  succ_start : int array;  (** successors of [v]: [succ.(succ_start.(v))] .. *)
-  succ : int array;
   class_size : int array;
 }
 
 let prepare dfg =
-  let g = Dfg.graph dfg in
-  let n = Digraph.node_count g in
+  let n = Dfg.node_count dfg in
   let cls = Array.init n (class_of dfg) in
-  let indeg = Array.init n (Digraph.in_degree g) in
-  let succ_start = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    succ_start.(v + 1) <- succ_start.(v) + Digraph.out_degree g v
-  done;
-  let succ = Array.make succ_start.(n) 0 in
-  for v = 0 to n - 1 do
-    List.iteri (fun i w -> succ.(succ_start.(v) + i) <- w) (Digraph.succs g v)
-  done;
+  let indeg = Array.init n (Dfg.in_degree dfg) in
   let priority =
-    Lp_graph.Paths.longest_to_leaves g ~weight:(fun v ->
-        class_min_latency.(cls.(v)))
+    Dfg.longest_to_sinks dfg ~weight:(fun v -> class_min_latency.(cls.(v)))
   in
   let top = Array.fold_left max 0 priority in
   let class_size = Array.make (Array.length classes) 0 in
@@ -99,8 +84,6 @@ let prepare dfg =
     cls;
     key = Array.init n (fun v -> ((top - priority.(v)) * n) + v);
     indeg;
-    succ_start;
-    succ;
     class_size;
   }
 
@@ -139,8 +122,8 @@ let schedule_prepared p rs =
     done;
     if !infeasible then None
     else begin
-      let cls = p.cls and key = p.key and succ = p.succ
-      and succ_start = p.succ_start in
+      let cls = p.cls and key = p.key and succ = dfg.Dfg.succ
+      and succ_start = dfg.Dfg.succ_off in
       let heap = Array.map Int_heap.create p.class_size in
       let start = Array.make n (-1) in
       let kind = Array.make n Resource.Alu in
@@ -242,7 +225,7 @@ let finish s v = s.start.(v) + s.latency.(v)
 let ops_in_step s t =
   List.filter
     (fun v -> s.start.(v) <= t && t < finish s v)
-    (Digraph.nodes (Dfg.graph s.dfg))
+    (List.init (Array.length s.start) Fun.id)
 
 let pp ppf s =
   Format.fprintf ppf "@[<v>schedule (%d steps, %d ops)" s.length
@@ -250,7 +233,7 @@ let pp ppf s =
   Array.iteri
     (fun v st ->
       Format.fprintf ppf "@,op %d (%a): step %d..%d on %a" v Lp_tech.Op.pp
-        (Dfg.node_info s.dfg v).op st
+        (Dfg.op s.dfg v) st
         (st + s.latency.(v) - 1)
         Resource.pp_kind s.kind.(v))
     s.start;

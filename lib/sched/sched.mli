@@ -27,8 +27,8 @@ val schedule : Lp_ir.Dfg.t -> Lp_tech.Resource_set.t -> t option
 
     The flow schedules each segment DFG under every designer set. What
     does not depend on the set — each node's candidate kinds and minimum
-    latency, its priority, its in-degree and a flat successor array — is
-    computed once by {!prepare}. {!schedule_prepared} then keeps the
+    latency, its priority and its in-degree — is computed once by
+    {!prepare}, which reads the DFG's flat rows without copying them. {!schedule_prepared} then keeps the
     nodes whose predecessors are all scheduled in one priority heap per
     class of operations that share a candidate list, merged at each
     step: O((V + E) log V + L * C) for V nodes, E edges, a schedule of L

@@ -23,6 +23,27 @@ let all =
     Select; Load; Store;
   ]
 
+let index = function
+  | Add -> 0
+  | Sub -> 1
+  | Neg -> 2
+  | Mul -> 3
+  | Div -> 4
+  | Mod -> 5
+  | Shl -> 6
+  | Shr -> 7
+  | Band -> 8
+  | Bor -> 9
+  | Bxor -> 10
+  | Bnot -> 11
+  | Cmp -> 12
+  | Move -> 13
+  | Select -> 14
+  | Load -> 15
+  | Store -> 16
+
+let count = List.length all
+
 let equal (a : t) (b : t) = a = b
 
 let compare (a : t) (b : t) = Stdlib.compare a b

@@ -25,6 +25,12 @@ type t =
 
 val all : t list
 
+val index : t -> int
+(** Position in {!all}, for op-indexed tables. *)
+
+val count : int
+(** [List.length all]. *)
+
 val equal : t -> t -> bool
 
 val compare : t -> t -> int

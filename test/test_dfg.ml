@@ -5,7 +5,6 @@
 open Lp_ir
 open Lp_ir.Builder
 module Op = Lp_tech.Op
-module Digraph = Lp_graph.Digraph
 
 let ops_of t = List.sort compare (Dfg.ops t)
 
@@ -17,13 +16,12 @@ let test_expr_lowering () =
   Alcotest.(check (list string)) "mul feeds add" [ "add"; "mul" ]
     (List.map Op.to_string (ops_of t));
   (* The mul node must have an edge to the add node. *)
-  let g = Dfg.graph t in
-  Alcotest.(check int) "one edge" 1 (Digraph.edge_count g)
+  Alcotest.(check int) "one edge" 1 (Dfg.edge_count t)
 
 let test_inputs_create_no_nodes () =
   let t = Dfg.of_segment_exn [ var "x" + var "y" ] [] in
   Alcotest.(check int) "only the add" 1 (Dfg.node_count t);
-  Alcotest.(check int) "no input edges" 0 (Digraph.edge_count (Dfg.graph t))
+  Alcotest.(check int) "no input edges" 0 (Dfg.edge_count t)
 
 let test_assign_copy_is_move () =
   let t = Dfg.of_segment_exn [] [ "x" := var "y"; "z" := int 5 ] in
@@ -33,9 +31,8 @@ let test_assign_chains_through_env () =
   (* x = a + b; y = x * x  : the mul reads the add's node twice. *)
   let t = Dfg.of_segment_exn [] [ "x" := var "a" + var "b"; "y" := var "x" * var "x" ] in
   Alcotest.(check int) "add and mul" 2 (Dfg.node_count t);
-  let g = Dfg.graph t in
   (* Parallel edges collapse, so one edge add->mul. *)
-  Alcotest.(check int) "dependency edge" 1 (Digraph.edge_count g)
+  Alcotest.(check int) "dependency edge" 1 (Dfg.edge_count t)
 
 let test_memory_ordering () =
   (* store a[0]; load a[0]; store a[1] — must serialise on array a. *)
@@ -47,34 +44,28 @@ let test_memory_ordering () =
         store "a" (int 1) (var "x");
       ]
   in
-  let g = Dfg.graph t in
-  let nodes = Digraph.nodes g in
-  let find op =
-    List.filter (fun v -> Op.equal (Dfg.node_info t v).Dfg.op op) nodes
-  in
+  let nodes = List.init (Dfg.node_count t) Fun.id in
+  let find op = List.filter (fun v -> Op.equal (Dfg.op t v) op) nodes in
   let stores = find Op.Store and loads = find Op.Load in
   Alcotest.(check int) "two stores" 2 (List.length stores);
   Alcotest.(check int) "one load" 1 (List.length loads);
   let s1 = List.nth stores 0 and s2 = List.nth stores 1 in
   let l = List.hd loads in
-  Alcotest.(check bool) "store->load edge" true (Digraph.mem_edge g s1 l);
-  Alcotest.(check bool) "load->store edge" true (Digraph.mem_edge g l s2)
+  Alcotest.(check bool) "store->load edge" true (List.mem l (Dfg.succs t s1));
+  Alcotest.(check bool) "load->store edge" true (List.mem l (Dfg.preds t s2))
 
 let test_different_arrays_independent () =
   let t =
     Dfg.of_segment_exn []
       [ store "a" (int 0) (int 1); "x" := load "b" (int 0) ]
   in
-  let g = Dfg.graph t in
   (* No ordering between different arrays: store a and load b are
      unconnected. *)
-  Alcotest.(check int) "no cross-array edges" 0 (Digraph.edge_count g)
+  Alcotest.(check int) "no cross-array edges" 0 (Dfg.edge_count t)
 
 let test_store_annotated_with_array () =
   let t = Dfg.of_segment_exn [] [ store "img" (int 3) (int 9) ] in
-  let v = List.hd (Digraph.nodes (Dfg.graph t)) in
-  Alcotest.(check (option string)) "array name" (Some "img")
-    (Dfg.node_info t v).Dfg.array
+  Alcotest.(check (option string)) "array name" (Some "img") (Dfg.array t 0)
 
 let test_call_rejected () =
   Alcotest.(check bool) "call gives None" true
@@ -92,7 +83,11 @@ let test_control_flow_rejected () =
 let test_print_becomes_move () =
   let t = Dfg.of_segment_exn [] [ print (var "x" + var "y") ] in
   Alcotest.(check int) "add + move" 2 (Dfg.node_count t);
-  Alcotest.(check int) "one move" 1 (count Op.Move t)
+  Alcotest.(check int) "one move" 1 (count Op.Move t);
+  (* The transfer node is numbered before its operand: the one edge
+     that runs backwards, into a sink. *)
+  Alcotest.(check (list int)) "add feeds move" [ 1 ] (Dfg.preds t 0);
+  Alcotest.(check int) "move is a sink" 0 (Dfg.out_degree t 0)
 
 let test_comparison_class () =
   let t = Dfg.of_segment_exn [ var "a" < var "b" ] [] in
@@ -100,21 +95,57 @@ let test_comparison_class () =
   let t2 = Dfg.of_segment_exn [ lnot (var "a") ] [] in
   Alcotest.(check int) "lnot is a cmp" 1 (count Op.Cmp t2)
 
+let block_arb =
+  QCheck.make
+    ~print:(fun b ->
+      String.concat "; " (List.map (Format.asprintf "%a" Printer.pp_stmt) b))
+    (Lp_testkit.block_gen ~vars:[ "a"; "b"; "c" ] ~arrays:[ ("m", 16) ])
+
+(* Every edge runs from a lower id to a higher one, or into a print's
+   transfer node, which is a sink: so the graph is acyclic. *)
+let forward_or_into_sink t u v =
+  Stdlib.(u < v || (Op.equal (Dfg.op t v) Op.Move && Dfg.out_degree t v = 0))
+
 let prop_dag =
-  QCheck.Test.make ~name:"lowered segments are DAGs" ~count:200
-    (QCheck.make
-       ~print:(fun b ->
-         String.concat "; " (List.map (Format.asprintf "%a" Printer.pp_stmt) b))
-       (Lp_testkit.block_gen ~vars:[ "a"; "b"; "c" ] ~arrays:[ ("m", 16) ]))
+  QCheck.Test.make ~name:"lowered segments are DAGs" ~count:200 block_arb
     (fun block ->
       match Dfg.of_segment [] block with
       | None -> true (* generated blocks contain no calls, but be safe *)
-      | Some t -> Lp_graph.Topo.is_dag (Dfg.graph t))
+      | Some t ->
+          List.for_all
+            (fun v -> List.for_all (fun u -> forward_or_into_sink t u v) (Dfg.preds t v))
+            (List.init (Dfg.node_count t) Fun.id))
+
+(* The two rows describe one edge set with no duplicates; each
+   predecessor row is in creation order: a node's in-edges are added as
+   it is created, from operand nodes that already exist. *)
+let prop_rows =
+  QCheck.Test.make ~name:"flat rows are one duplicate-free edge set" ~count:300
+    block_arb (fun block ->
+      match Dfg.of_segment [] block with
+      | None -> true
+      | Some t ->
+          let n = Dfg.node_count t in
+          let distinct l = List.length (List.sort_uniq compare l) = List.length l in
+          let nodes = List.init n Fun.id in
+          let from_preds =
+            List.concat_map (fun v -> List.map (fun u -> (u, v)) (Dfg.preds t v)) nodes
+          and from_succs =
+            List.concat_map (fun u -> List.map (fun v -> (u, v)) (Dfg.succs t u)) nodes
+          in
+          List.for_all
+            (fun v ->
+              distinct (Dfg.preds t v)
+              && distinct (Dfg.succs t v)
+              && List.length (Dfg.preds t v) = Dfg.in_degree t v
+              && List.for_all (fun u -> forward_or_into_sink t u v) (Dfg.preds t v))
+            nodes
+          && List.sort compare from_preds = List.sort compare from_succs
+          && List.length from_preds = Dfg.edge_count t)
 
 let prop_op_count_matches =
   QCheck.Test.make ~name:"node count equals static op count" ~count:200
-    (QCheck.make (Lp_testkit.block_gen ~vars:[ "a"; "b"; "c" ] ~arrays:[ ("m", 16) ]))
-    (fun block ->
+    block_arb (fun block ->
       match Dfg.of_segment [] block with
       | None -> true
       | Some t -> List.length (Dfg.ops t) = Dfg.node_count t)
@@ -145,5 +176,5 @@ let () =
           Alcotest.test_case "calls" `Quick test_call_rejected;
           Alcotest.test_case "control flow" `Quick test_control_flow_rejected;
         ] );
-      ("properties", qcheck [ prop_dag; prop_op_count_matches ]);
+      ("properties", qcheck [ prop_dag; prop_rows; prop_op_count_matches ]);
     ]

@@ -5,7 +5,6 @@ module Dfg = Lp_ir.Dfg
 module Sched = Lp_sched.Sched
 module Fds = Lp_sched.Fds
 module Bind = Lp_bind.Bind
-module Digraph = Lp_graph.Digraph
 module Resource_set = Lp_tech.Resource_set
 
 let two_muls =
@@ -14,9 +13,9 @@ let two_muls =
 
 let precedence_ok dfg (s : Sched.t) =
   let ok = ref true in
-  Digraph.iter_edges
+  Dfg.iter_edges
     (fun u v -> if Sched.finish s u > s.Sched.start.(v) then ok := false)
-    (Dfg.graph dfg);
+    dfg;
   !ok
 
 let test_min_latency () =

@@ -1,10 +1,9 @@
-(* Unit + property tests for the graph kernel: Vec, Digraph, Topo,
-   Paths. *)
+(* Unit + property tests for the graph kernel: Vec and Digraph. The
+   topological sort and longest paths live on in the scheduler oracle,
+   and their cases in test_sched_diff. *)
 
 module Vec = Lp_graph.Vec
 module Digraph = Lp_graph.Digraph
-module Topo = Lp_graph.Topo
-module Paths = Lp_graph.Paths
 
 let check = Alcotest.(check int)
 let check_b = Alcotest.(check bool)
@@ -95,78 +94,7 @@ let test_digraph_bad_node () =
     (Invalid_argument "Digraph: 9 is not a node") (fun () ->
       Digraph.add_edge g 0 9)
 
-(* --- Topo --- *)
-
-let test_topo_diamond () =
-  let g = diamond () in
-  match Topo.sort g with
-  | None -> Alcotest.fail "diamond is a DAG"
-  | Some order ->
-      check "all nodes" 4 (List.length order);
-      let pos v = Option.get (List.find_index (fun x -> x = v) order) in
-      Digraph.iter_edges
-        (fun u v -> check_b "edge order" true (pos u < pos v))
-        g
-
-let test_topo_cycle () =
-  let g = Digraph.create () in
-  ignore (Digraph.add_nodes g 2);
-  Digraph.add_edge g 0 1;
-  Digraph.add_edge g 1 0;
-  check_b "cycle detected" false (Topo.is_dag g);
-  Alcotest.check_raises "sort_exn raises"
-    (Invalid_argument "Topo.sort_exn: graph has a cycle") (fun () ->
-      ignore (Topo.sort_exn g))
-
-let test_topo_deterministic () =
-  let g = Digraph.create () in
-  ignore (Digraph.add_nodes g 5);
-  (* No edges: Kahn with a min-heap must give ascending ids. *)
-  check_l "ascending" [ 0; 1; 2; 3; 4 ] (Topo.sort_exn g)
-
-let test_topo_levels () =
-  let g = diamond () in
-  let levels = Topo.levels g in
-  check "level 0" 0 levels.(0);
-  check "level 1" 1 levels.(1);
-  check "level 3" 2 levels.(3)
-
-(* --- Paths --- *)
-
-let test_paths_unit_weights () =
-  let g = diamond () in
-  let from_roots = Paths.longest_from_roots g ~weight:(fun _ -> 1) in
-  check "root dist" 0 from_roots.(0);
-  check "sink dist" 2 from_roots.(3);
-  let to_leaves = Paths.longest_to_leaves g ~weight:(fun _ -> 1) in
-  check "root to leaf" 3 to_leaves.(0);
-  check "leaf self" 1 to_leaves.(3);
-  check "critical path" 3 (Paths.critical_path_length g ~weight:(fun _ -> 1))
-
-let test_paths_weighted () =
-  let g = diamond () in
-  let weight = function 1 -> 5 | _ -> 1 in
-  let from_roots = Paths.longest_from_roots g ~weight in
-  check "heavy branch wins" 6 from_roots.(3);
-  check "critical" 7 (Paths.critical_path_length g ~weight)
-
-let test_paths_empty () =
-  let g = Digraph.create () in
-  check "empty critical path" 0 (Paths.critical_path_length g ~weight:(fun _ -> 1))
-
 (* --- properties --- *)
-
-let prop_topo_respects_edges =
-  QCheck.Test.make ~name:"topo order respects every edge" ~count:200
-    Lp_testkit.dag_arbitrary (fun g ->
-      match Topo.sort g with
-      | None -> false
-      | Some order ->
-          let pos = Array.make (Digraph.node_count g) 0 in
-          List.iteri (fun i v -> pos.(v) <- i) order;
-          let ok = ref true in
-          Digraph.iter_edges (fun u v -> if pos.(u) >= pos.(v) then ok := false) g;
-          !ok && List.length order = Digraph.node_count g)
 
 let prop_transpose_involution =
   QCheck.Test.make ~name:"transpose is an involution" ~count:200
@@ -237,24 +165,7 @@ let () =
           Alcotest.test_case "copy and transpose" `Quick test_digraph_copy_transpose;
           Alcotest.test_case "bad node rejected" `Quick test_digraph_bad_node;
         ] );
-      ( "topo",
-        [
-          Alcotest.test_case "diamond order" `Quick test_topo_diamond;
-          Alcotest.test_case "cycle detection" `Quick test_topo_cycle;
-          Alcotest.test_case "deterministic ties" `Quick test_topo_deterministic;
-          Alcotest.test_case "levels" `Quick test_topo_levels;
-        ] );
-      ( "paths",
-        [
-          Alcotest.test_case "unit weights" `Quick test_paths_unit_weights;
-          Alcotest.test_case "weighted" `Quick test_paths_weighted;
-          Alcotest.test_case "empty graph" `Quick test_paths_empty;
-        ] );
       ( "properties",
         qcheck
-          [
-            prop_topo_respects_edges;
-            prop_transpose_involution;
-            prop_adjacency_model;
-          ] );
+          [ prop_transpose_involution; prop_adjacency_model ] );
     ]

@@ -6,7 +6,6 @@ module Dfg = Lp_ir.Dfg
 module Sched = Lp_sched.Sched
 module Resource = Lp_tech.Resource
 module Resource_set = Lp_tech.Resource_set
-module Digraph = Lp_graph.Digraph
 
 let seg exprs stmts = Dfg.of_segment_exn exprs stmts
 
@@ -18,11 +17,11 @@ let two_muls () =
 let test_precedence () =
   let dfg = two_muls () in
   let s = Option.get (Sched.schedule dfg Resource_set.medium_dsp) in
-  Digraph.iter_edges
+  Dfg.iter_edges
     (fun u v ->
       Alcotest.(check bool) "producer finishes first" true
         (Sched.finish s u <= s.Sched.start.(v)))
-    (Dfg.graph dfg)
+    dfg
 
 let test_resource_contention () =
   (* medium_dsp has one multiplier (2-cycle): the two muls serialise. *)
@@ -30,8 +29,8 @@ let test_resource_contention () =
   let s = Option.get (Sched.schedule dfg Resource_set.medium_dsp) in
   let muls =
     List.filter
-      (fun v -> (Dfg.node_info dfg v).Dfg.op = Lp_tech.Op.Mul)
-      (Digraph.nodes (Dfg.graph dfg))
+      (fun v -> Dfg.op dfg v = Lp_tech.Op.Mul)
+      (List.init (Dfg.node_count dfg) Fun.id)
   in
   let starts = List.sort compare (List.map (fun v -> s.Sched.start.(v)) muls) in
   Alcotest.(check bool) "muls serialise on one unit" true
@@ -120,9 +119,9 @@ let prop_precedence_random =
       | None -> true
       | Some (dfg, s) ->
           let ok = ref true in
-          Digraph.iter_edges
+          Dfg.iter_edges
             (fun u v -> if Sched.finish s u > s.Sched.start.(v) then ok := false)
-            (Dfg.graph dfg);
+            dfg;
           !ok)
 
 let prop_capacity_random =

@@ -14,6 +14,7 @@ module Dfg = Lp_ir.Dfg
 module Resource = Lp_tech.Resource
 module Resource_set = Lp_tech.Resource_set
 module Cluster = Lp_cluster.Cluster
+module Digraph = Lp_graph.Digraph
 
 let presets =
   Resource_set.[ tiny; small; medium_dsp; large_dsp; control ]
@@ -203,6 +204,26 @@ let prop_random =
           | Error msg -> QCheck.Test.fail_report msg)
         presets)
 
+(* The flat DFG against the Digraph lowering it replaced, field for
+   field: each node's op and array, and its predecessors and successors
+   in order. *)
+let prop_lowering =
+  QCheck.Test.make ~count:500 ~name:"flat DFG equals the Digraph lowering"
+    (QCheck.make ~print:(fun b -> print_blocks [ b ]) random_block_gen)
+    (fun block ->
+      match (Dfg.of_segment [] block, Sched_ref.Lowering.of_segment [] block) with
+      | None, None -> true
+      | Some d, Some r ->
+          let g = r.Sched_ref.Lowering.g in
+          Dfg.node_count d = Digraph.node_count g
+          && List.for_all
+               (fun v ->
+                 (Dfg.op d v, Dfg.array d v) = Lp_graph.Vec.get r.Sched_ref.Lowering.infos v
+                 && Dfg.preds d v = Digraph.preds g v
+                 && Dfg.succs d v = Digraph.succs g v)
+               (List.init (Dfg.node_count d) Fun.id)
+      | Some _, None | None, Some _ -> false)
+
 (* --- allocation ----------------------------------------------------- *)
 
 (* Evaluating a candidate allocates its results (schedule arrays, the
@@ -251,6 +272,92 @@ let test_candidate_alloc () =
        per_node nodes)
     true (per_node < 250.0)
 
+(* --- the oracle's topological sort and longest paths ----------------- *)
+
+module Topo = Sched_ref.Topo
+module Paths = Sched_ref.Paths
+
+let check = Alcotest.(check int)
+let check_b = Alcotest.(check bool)
+let check_l = Alcotest.(check (list int))
+
+let diamond () =
+  (* 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3 *)
+  let g = Digraph.create () in
+  ignore (Digraph.add_nodes g 4);
+  Digraph.add_edge g 0 1;
+  Digraph.add_edge g 0 2;
+  Digraph.add_edge g 1 3;
+  Digraph.add_edge g 2 3;
+  g
+
+let test_topo_diamond () =
+  let g = diamond () in
+  match Topo.sort g with
+  | None -> Alcotest.fail "diamond is a DAG"
+  | Some order ->
+      check "all nodes" 4 (List.length order);
+      let pos v = Option.get (List.find_index (fun x -> x = v) order) in
+      Digraph.iter_edges
+        (fun u v -> check_b "edge order" true (pos u < pos v))
+        g
+
+let test_topo_cycle () =
+  let g = Digraph.create () in
+  ignore (Digraph.add_nodes g 2);
+  Digraph.add_edge g 0 1;
+  Digraph.add_edge g 1 0;
+  check_b "cycle detected" false (Topo.is_dag g);
+  Alcotest.check_raises "sort_exn raises"
+    (Invalid_argument "Topo.sort_exn: graph has a cycle") (fun () ->
+      ignore (Topo.sort_exn g))
+
+let test_topo_deterministic () =
+  let g = Digraph.create () in
+  ignore (Digraph.add_nodes g 5);
+  (* No edges: Kahn with a min-heap must give ascending ids. *)
+  check_l "ascending" [ 0; 1; 2; 3; 4 ] (Topo.sort_exn g)
+
+let test_topo_levels () =
+  let g = diamond () in
+  let levels = Topo.levels g in
+  check "level 0" 0 levels.(0);
+  check "level 1" 1 levels.(1);
+  check "level 3" 2 levels.(3)
+
+let test_paths_unit_weights () =
+  let g = diamond () in
+  let from_roots = Paths.longest_from_roots g ~weight:(fun _ -> 1) in
+  check "root dist" 0 from_roots.(0);
+  check "sink dist" 2 from_roots.(3);
+  let to_leaves = Paths.longest_to_leaves g ~weight:(fun _ -> 1) in
+  check "root to leaf" 3 to_leaves.(0);
+  check "leaf self" 1 to_leaves.(3);
+  check "critical path" 3 (Paths.critical_path_length g ~weight:(fun _ -> 1))
+
+let test_paths_weighted () =
+  let g = diamond () in
+  let weight = function 1 -> 5 | _ -> 1 in
+  let from_roots = Paths.longest_from_roots g ~weight in
+  check "heavy branch wins" 6 from_roots.(3);
+  check "critical" 7 (Paths.critical_path_length g ~weight)
+
+let test_paths_empty () =
+  let g = Digraph.create () in
+  check "empty critical path" 0 (Paths.critical_path_length g ~weight:(fun _ -> 1))
+
+let prop_topo_respects_edges =
+  QCheck.Test.make ~name:"topo order respects every edge" ~count:200
+    Lp_testkit.dag_arbitrary (fun g ->
+      match Topo.sort g with
+      | None -> false
+      | Some order ->
+          let pos = Array.make (Digraph.node_count g) 0 in
+          List.iteri (fun i v -> pos.(v) <- i) order;
+          let ok = ref true in
+          Digraph.iter_edges (fun u v -> if pos.(u) >= pos.(v) then ok := false) g;
+          !ok && List.length order = Digraph.node_count g)
+
 let () =
   Alcotest.run "sched_diff"
     [
@@ -259,10 +366,28 @@ let () =
           Alcotest.test_case "apps and protocol" `Quick (test_programs apps);
           Alcotest.test_case "corpus programs" `Slow (test_programs corpus);
         ] );
-      ("random", [ QCheck_alcotest.to_alcotest prop_random ]);
+      ( "random",
+        [
+          QCheck_alcotest.to_alcotest prop_random;
+          QCheck_alcotest.to_alcotest prop_lowering;
+        ] );
       ( "alloc",
         [
           Alcotest.test_case "candidate evaluation per node" `Quick
             test_candidate_alloc;
         ] );
+      ( "topo",
+        [
+          Alcotest.test_case "diamond order" `Quick test_topo_diamond;
+          Alcotest.test_case "cycle detection" `Quick test_topo_cycle;
+          Alcotest.test_case "deterministic ties" `Quick test_topo_deterministic;
+          Alcotest.test_case "levels" `Quick test_topo_levels;
+        ] );
+      ( "paths",
+        [
+          Alcotest.test_case "unit weights" `Quick test_paths_unit_weights;
+          Alcotest.test_case "weighted" `Quick test_paths_weighted;
+          Alcotest.test_case "empty graph" `Quick test_paths_empty;
+        ] );
+      ("properties", [ QCheck_alcotest.to_alcotest prop_topo_respects_edges ]);
     ]
