@@ -46,8 +46,8 @@ type stats = {
 
 (* Directory state lives in flat arrays indexed by [set * assoc + way]:
    the probe/touch path is the innermost loop of the whole co-simulation
-   (one probe per data-access run, and per line of a fetch that cannot
-   be settled by its residency epoch), and flat
+   (one probe per data access, and per line of a fetch that cannot be
+   settled by its residency epoch), and flat
    int arrays with in-range-by-construction unsafe accesses beat a
    record-per-line layout by a wide margin. A line's validity is folded
    into its tag: real tags are non-negative, [-1] means invalid. *)
@@ -72,24 +72,13 @@ type t = {
   mutable s_read_misses : int;
   mutable s_write_misses : int;
   mutable s_writebacks : int;
-  mutable epoch : int;
+  mutable flush_writebacks : int;  (** lines of [s_writebacks] flushed *)
+  mutable uncached_reads : int;
+  mutable uncached_writes : int;
+  epoch : int ref;
       (** bumped on every line fill and every flush: while it stays
           put, no line has left the cache *)
-  fetch_memo : int array;
-      (** [fetch_slots] entries of (start word, words, epoch);
-          empty unless direct-mapped *)
   mutable fetch_probes : int;
-  scratch : run_scratch;
-}
-
-and run_scratch = {
-  mutable run_misses : int;
-  mutable run_fill_words : int;
-  mutable run_writeback_words : int;
-  mutable run_through_words : int;
-  mutable run_miss_words : int;
-  mutable run_uncached_reads : int;
-  mutable run_uncached_writes : int;
 }
 
 type event = {
@@ -98,28 +87,6 @@ type event = {
   writeback_words : int;
   through_words : int;
 }
-
-(* Aggregate of a bulk call: a block's fetch run or its whole D-access
-   drain. The block-compiled ISS batches same-line accesses, so the
-   per-access event record would allocate on every run; instead each
-   cache owns one mutable scratch record that the bulk entry points
-   refill and return. [run_miss_words] is the word traffic of the miss
-   events only — the caller reconstructs the exact per-event stall
-   penalty from ([run_misses], [run_miss_words]) because the penalty is
-   linear in both (see [Lp_mem.Memory.miss_penalty_run]). *)
-type run_event = run_scratch = {
-  mutable run_misses : int;
-  mutable run_fill_words : int;
-  mutable run_writeback_words : int;
-  mutable run_through_words : int;
-  mutable run_miss_words : int;
-  mutable run_uncached_reads : int;
-  mutable run_uncached_writes : int;
-}
-
-(* Direct-mapped table of recorded fetches, indexed by start word; a
-   power of two. Code beyond it only costs collisions, i.e. probes. *)
-let fetch_slots = 1024
 
 (* Analytic per-access array energy from the geometry. The row that is
    activated spans [assoc] ways of [line_bytes] cells plus tags. *)
@@ -172,20 +139,11 @@ let create ?(energy_scale = 1.0) cfg =
     s_read_misses = 0;
     s_write_misses = 0;
     s_writebacks = 0;
-    epoch = 0;
-    fetch_memo =
-      (if cfg.assoc = 1 then Array.make (3 * fetch_slots) (-1) else [||]);
+    flush_writebacks = 0;
+    uncached_reads = 0;
+    uncached_writes = 0;
+    epoch = ref 0;
     fetch_probes = 0;
-    scratch =
-      {
-        run_misses = 0;
-        run_fill_words = 0;
-        run_writeback_words = 0;
-        run_through_words = 0;
-        run_miss_words = 0;
-        run_uncached_reads = 0;
-        run_uncached_writes = 0;
-      };
   }
 
 let config t = t.cfg
@@ -248,6 +206,20 @@ let ev_hit_through =
 let ev_miss_through =
   { hit = false; fill_words = 0; writeback_words = 0; through_words = 1 }
 
+(* Miss with allocation: put [tag] into [set]'s victim way, as the
+   last of [k] accesses to it, and return the dirty words the victim
+   wrote back. *)
+let fill t set tag ~write ~k =
+  let slot = victim_slot t set in
+  let wb = if t.tags.(slot) >= 0 && t.dirty.(slot) then line_words t else 0 in
+  if wb > 0 then t.s_writebacks <- t.s_writebacks + 1;
+  t.tags.(slot) <- tag;
+  t.dirty.(slot) <- write;
+  incr t.epoch;
+  t.clock <- t.clock + k;
+  Array.unsafe_set t.lru slot t.clock;
+  wb
+
 let access t addr ~write =
   let set, tag = locate t addr in
   if write then t.s_writes <- t.s_writes + 1
@@ -271,13 +243,7 @@ let access t addr ~write =
       (* No-allocate: the word goes straight to memory. *)
       ev_miss_through
     else begin
-      let slot = victim_slot t set in
-      let wb = if t.tags.(slot) >= 0 && t.dirty.(slot) then line_words t else 0 in
-      if wb > 0 then t.s_writebacks <- t.s_writebacks + 1;
-      t.tags.(slot) <- tag;
-      t.dirty.(slot) <- write;
-      t.epoch <- t.epoch + 1;
-      touch t slot;
+      let wb = fill t set tag ~write ~k:1 in
       {
         hit = false;
         fill_words = line_words t;
@@ -290,205 +256,141 @@ let access t addr ~write =
 let read t addr = access t addr ~write:false
 let write t addr = access t addr ~write:true
 
-(* Allocation-free hit fast paths. A hit that moves no words costs the
-   uP zero stall cycles, so the caller needs no event at all: [true]
-   means the access is fully accounted (stats, energy, LRU) and done.
-   [false] means {e nothing} was accounted — the caller must fall back
-   to the event-returning path, which redoes the (cheap) way probe and
-   handles misses, write-through traffic and replacement. *)
+(* --- the co-simulation's paths -------------------------------------- *)
 
-let read_hit t addr =
-  let line_no = addr lsr t.line_shift in
-  let set = line_no land t.set_mask in
-  let slot = find_slot t set (line_no lsr t.set_shift) in
-  slot >= 0
-  && begin
-       t.s_reads <- t.s_reads + 1;
-       touch t slot;
-       true
-     end
-
-let write_hit t addr =
-  (* Only write-back hits qualify: a write-through hit still moves a
-     word to memory, which the caller must charge via the event path. *)
-  t.cfg.policy = Write_back
-  &&
-  let line_no = addr lsr t.line_shift in
-  let set = line_no land t.set_mask in
-  let slot = find_slot t set (line_no lsr t.set_shift) in
-  slot >= 0
-  && begin
-       t.s_writes <- t.s_writes + 1;
-       Array.unsafe_set t.dirty slot true;
-       touch t slot;
-       true
-     end
-
-(* --- bulk runs ----------------------------------------------------- *)
-
-let reset_run r =
-  r.run_misses <- 0;
-  r.run_fill_words <- 0;
-  r.run_writeback_words <- 0;
-  r.run_through_words <- 0;
-  r.run_miss_words <- 0;
-  r.run_uncached_reads <- 0;
-  r.run_uncached_writes <- 0
-
-(* What a fetch settled without a probe returns; never written. *)
-let no_traffic =
-  {
-    run_misses = 0;
-    run_fill_words = 0;
-    run_writeback_words = 0;
-    run_through_words = 0;
-    run_miss_words = 0;
-    run_uncached_reads = 0;
-    run_uncached_writes = 0;
-  }
-
-(* [k] same-kind accesses to line [line_no], settled with a single
-   probe. Nothing else touches the cache between the accesses of
-   a run, so the first access decides residency and the remaining k-1
-   are hits on the same way; k touches of one way advance the LRU clock
-   by k and leave the way stamped with the final clock, exactly as k
-   individual [access] calls would. The one non-uniform case is a
-   write-through write miss: no-allocate means the line never becomes
-   resident, so all k accesses miss independently, each moving its own
-   word (and paying its own miss penalty, hence k miss events). The
-   caller counts the k accesses in [s_reads]/[s_writes]. *)
-let[@inline] run_line t line_no ~write k acc =
+(* [k] sequential reads of line [line_no], settled with a single probe.
+   Nothing else touches the cache between them, so the first read
+   decides residency and the remaining k-1 hit the same way; k touches
+   of one way advance the LRU clock by k and leave the way stamped with
+   the final clock, exactly as k individual [access] calls would. The
+   reads themselves are counted by the caller. *)
+let[@inline] fetch_line t line_no k =
   let set = line_no land t.set_mask in
   let tag = line_no lsr t.set_shift in
   let slot = find_slot t set tag in
   if slot >= 0 then begin
     t.clock <- t.clock + k;
-    Array.unsafe_set t.lru slot t.clock;
-    if write then
-      match t.cfg.policy with
-      | Write_back -> Array.unsafe_set t.dirty slot true
-      | Write_through -> acc.run_through_words <- acc.run_through_words + k
-  end
-  else if write && t.cfg.policy = Write_through then begin
-    t.s_write_misses <- t.s_write_misses + k;
-    acc.run_misses <- acc.run_misses + k;
-    acc.run_through_words <- acc.run_through_words + k;
-    acc.run_miss_words <- acc.run_miss_words + k
+    Array.unsafe_set t.lru slot t.clock
   end
   else begin
-    if write then t.s_write_misses <- t.s_write_misses + 1
-    else t.s_read_misses <- t.s_read_misses + 1;
-    let slot = victim_slot t set in
-    let wb = if t.tags.(slot) >= 0 && t.dirty.(slot) then line_words t else 0 in
-    if wb > 0 then t.s_writebacks <- t.s_writebacks + 1;
-    t.tags.(slot) <- tag;
-    t.dirty.(slot) <- write;
-    t.epoch <- t.epoch + 1;
-    t.clock <- t.clock + k;
-    Array.unsafe_set t.lru slot t.clock;
-    let fill = line_words t in
-    acc.run_misses <- acc.run_misses + 1;
-    acc.run_fill_words <- acc.run_fill_words + fill;
-    acc.run_writeback_words <- acc.run_writeback_words + wb;
-    acc.run_miss_words <- acc.run_miss_words + fill + wb
+    t.s_read_misses <- t.s_read_misses + 1;
+    ignore (fill t set tag ~write:false ~k)
   end
 
 (* [n] sequential word reads starting at byte address [addr]: the
-   instruction fetch of a basic block. The slow path pays one probe per
-   line. A fetch that found every line resident is recorded with the
-   cache's epoch, and the same fetch at the same epoch on a
-   direct-mapped cache settles with no probe (DESIGN §13):
-   - no line was filled or flushed since the recorded fetch, so every
-     line it found is still resident;
-   - with one way per set the LRU stamps decide nothing, so leaving
-     them alone changes no later outcome; with more ways they would,
-     so such fetches are never recorded;
-   - a fetch that missed is never recorded: a block longer than the
-     cache evicts its own lines. *)
-let read_run t addr n =
-  t.s_reads <- t.s_reads + n;
-  let w = addr lsr 2 in
-  let memo = t.fetch_memo in
-  let e = 3 * (w land (fetch_slots - 1)) in
-  if
-    t.assoc = 1
-    && Array.unsafe_get memo e = w
-    && Array.unsafe_get memo (e + 1) = n
-    && Array.unsafe_get memo (e + 2) = t.epoch
-  then no_traffic
-  else begin
-    let acc = t.scratch in
-    reset_run acc;
-    let line = ref (addr lsr t.line_shift) in
-    (* Words from [addr] to the end of its line, then whole lines. *)
-    let k = ref ((((!line + 1) lsl t.line_shift) - addr) lsr 2) in
-    let left = ref n in
-    while !left > 0 do
-      (* Not [min]: on ints it is still a polymorphic compare, one C
-         call per fetched line. *)
-      let run = if !left < !k then !left else !k in
-      run_line t !line ~write:false run acc;
-      t.fetch_probes <- t.fetch_probes + 1;
-      left := !left - run;
-      incr line;
-      k := t.cfg.line_bytes lsr 2
-    done;
-    if acc.run_misses = 0 && t.assoc = 1 then begin
-      Array.unsafe_set memo e w;
-      Array.unsafe_set memo (e + 1) n;
-      Array.unsafe_set memo (e + 2) t.epoch
-    end;
-    acc
-  end
+   instruction fetch of a basic block, one probe per line. It returns
+   the epoch under which repeating it would change nothing (DESIGN
+   §13):
+   - a fetch that filled no line left the epoch alone, and while the
+     epoch stays put no line is filled or flushed, so every line it
+     found is still resident;
+   - with one way per set the LRU stamps decide nothing, so skipping
+     them changes no later outcome; with more ways they would, so such
+     fetches return -1;
+   - a fetch that missed returns -1: a block longer than the cache
+     evicts its own lines. *)
+let fetch t addr n =
+  let e0 = !(t.epoch) in
+  let line = ref (addr lsr t.line_shift) in
+  (* Words from [addr] to the end of its line, then whole lines. *)
+  let k = ref ((((!line + 1) lsl t.line_shift) - addr) lsr 2) in
+  let left = ref n in
+  while !left > 0 do
+    (* Not [min]: on ints it is still a polymorphic compare, one C
+       call per fetched line. *)
+    let run = if !left < !k then !left else !k in
+    fetch_line t !line run;
+    t.fetch_probes <- t.fetch_probes + 1;
+    left := !left - run;
+    incr line;
+    k := t.cfg.line_bytes lsr 2
+  done;
+  if t.assoc = 1 && !(t.epoch) = e0 then e0 else -1
+
+let epoch t = t.epoch
+
+let count_reads t n = t.s_reads <- t.s_reads + n
 
 let fetch_probes t = t.fetch_probes
 
-(* A block's data accesses in one call: the first [n] entries of [buf],
-   each [byte_addr lor write_bit], in program order. Maximal runs of
-   same-kind accesses to one line are settled with one probe each.
-   Accesses inside the uncached byte window [[uncached_lo, uncached_hi)]
-   bypass the cache and are only counted: each is one word on the bus,
-   so their charge is linear in the count. The runs are consecutive
-   pieces of the access order, so the cache sees what one call per
-   access would show it. *)
-let drain t ~uncached_lo ~uncached_hi buf n =
-  if n > Array.length buf then invalid_arg "Cache.drain: n exceeds the buffer";
-  let acc = t.scratch in
-  reset_run acc;
-  let shift = t.line_shift in
-  let i = ref 0 in
-  while !i < n do
-    let e = Array.unsafe_get buf !i in
-    let wbit = e land 1 in
-    let addr = e - wbit in
-    if addr >= uncached_lo && addr < uncached_hi then begin
-      if wbit = 1 then acc.run_uncached_writes <- acc.run_uncached_writes + 1
-      else acc.run_uncached_reads <- acc.run_uncached_reads + 1;
-      incr i
-    end
+(* One data access at a time, in program order. Accesses inside the
+   uncached byte window [[uncached_lo, uncached_hi)] bypass the cache
+   and are only counted: each is one word on the bus. The closures are
+   built here, not in the caller, so that the probe inlines into them
+   and an access costs one indirect call. *)
+let data_port t ~uncached_lo ~uncached_hi =
+  let write_back = t.cfg.policy = Write_back in
+  let read addr =
+    if addr >= uncached_lo && addr < uncached_hi then
+      t.uncached_reads <- t.uncached_reads + 1
     else begin
-      let line = addr lsr shift in
-      let j = ref (!i + 1) in
-      while
-        !j < n
-        &&
-        let e' = Array.unsafe_get buf !j in
-        let a' = e' - wbit in
-        e' land 1 = wbit
-        && a' lsr shift = line
-        && not (a' >= uncached_lo && a' < uncached_hi)
-      do
-        incr j
-      done;
-      let k = !j - !i in
-      let write = wbit = 1 in
-      if write then t.s_writes <- t.s_writes + k
-      else t.s_reads <- t.s_reads + k;
-      run_line t line ~write k acc;
-      i := !j
+      t.s_reads <- t.s_reads + 1;
+      let line_no = addr lsr t.line_shift in
+      let set = line_no land t.set_mask in
+      let tag = line_no lsr t.set_shift in
+      let slot = find_slot t set tag in
+      if slot >= 0 then touch t slot
+      else begin
+        t.s_read_misses <- t.s_read_misses + 1;
+        ignore (fill t set tag ~write:false ~k:1)
+      end
     end
-  done;
-  acc
+  in
+  let write addr =
+    if addr >= uncached_lo && addr < uncached_hi then
+      t.uncached_writes <- t.uncached_writes + 1
+    else begin
+      t.s_writes <- t.s_writes + 1;
+      let line_no = addr lsr t.line_shift in
+      let set = line_no land t.set_mask in
+      let tag = line_no lsr t.set_shift in
+      let slot = find_slot t set tag in
+      if slot >= 0 then begin
+        touch t slot;
+        if write_back then Array.unsafe_set t.dirty slot true
+      end
+      else begin
+        t.s_write_misses <- t.s_write_misses + 1;
+        (* Write-through is no-allocate: the word goes to memory. *)
+        if write_back then ignore (fill t set tag ~write:true ~k:1)
+      end
+    end
+  in
+  (read, write)
+
+type traffic = {
+  misses : int;
+  fill_words : int;
+  evict_words : int;
+  through_words : int;
+  miss_words : int;
+  uncached_reads : int;
+  uncached_writes : int;
+}
+
+(* Every miss is one event: a read miss or a write-back write miss
+   fills one line (and evicts a dirty victim's line), a write-through
+   write miss moves its one word. Every write-through write moves one
+   word whether it hits or not. So the traffic is a product of the
+   counters, and so is its stall penalty, which is linear in misses and
+   moved words. Flushes are the caller's to charge. *)
+let traffic t =
+  let lw = line_words t in
+  let write_through = t.cfg.policy = Write_through in
+  let fill_words =
+    lw * (t.s_read_misses + if write_through then 0 else t.s_write_misses)
+  in
+  let evict_words = lw * (t.s_writebacks - t.flush_writebacks) in
+  {
+    misses = t.s_read_misses + t.s_write_misses;
+    fill_words;
+    evict_words;
+    through_words = (if write_through then t.s_writes else 0);
+    miss_words =
+      fill_words + evict_words + if write_through then t.s_write_misses else 0;
+    uncached_reads = t.uncached_reads;
+    uncached_writes = t.uncached_writes;
+  }
 
 let flush t =
   let words = ref 0 in
@@ -496,13 +398,14 @@ let flush t =
   for i = 0 to ways_total - 1 do
     if t.tags.(i) >= 0 && t.dirty.(i) then begin
       words := !words + line_words t;
-      t.s_writebacks <- t.s_writebacks + 1
+      t.s_writebacks <- t.s_writebacks + 1;
+      t.flush_writebacks <- t.flush_writebacks + 1
     end;
     t.tags.(i) <- -1;
     t.dirty.(i) <- false;
     t.lru.(i) <- 0
   done;
-  t.epoch <- t.epoch + 1;
+  incr t.epoch;
   !words
 
 let stats t =

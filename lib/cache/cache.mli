@@ -12,7 +12,8 @@
     [assoc * line] cells, bitline swings, sense amplifiers, tag
     compares — built from the {!Lp_tech.Cmos6} primitives. Energy is
     charged per access (reads and writes differ); the traffic caused by
-    misses is charged by the caller using the event counts. *)
+    misses is charged by the caller, from the events or from
+    {!traffic}. *)
 
 type write_policy = Write_back | Write_through
 
@@ -59,61 +60,63 @@ val read : t -> int -> event
 
 val write : t -> int -> event
 
-val read_hit : t -> int -> bool
-(** Allocation-free fast path. [read_hit c byte_addr] probes for a hit:
-    on [true] the access is fully accounted (stats, energy, LRU) and —
-    a hit moving no words — costs zero stall cycles, so no event is
-    needed. On [false] {e nothing} was accounted; the caller must take
-    the event path ({!read}). Behaviourally identical to checking
-    [(read c a).hit] first, minus the event allocation. *)
+(** {2 The co-simulation's paths}
 
-val write_hit : t -> int -> bool
-(** Like {!read_hit} for writes. Only write-back hits qualify ([false]
-    on any write-through cache): a write-through hit still moves a word
-    to memory, which the caller charges from the {!write} event. *)
+    The system simulator settles the I-stream and the D-stream through
+    these, and charges memory traffic and stall cycles once per run from
+    {!traffic}. Stats, energy and LRU effects are identical to
+    performing every access through {!read}/{!write}. *)
 
-type run_event = {
-  mutable run_misses : int;  (** miss {e events} *)
-  mutable run_fill_words : int;  (** words fetched for line fills *)
-  mutable run_writeback_words : int;  (** dirty words evicted *)
-  mutable run_through_words : int;  (** words written through *)
-  mutable run_miss_words : int;
-      (** words moved by the miss events alone (fills + their evictions
-          + through words of missing writes) — with [run_misses] this
-          reconstructs the exact sum of per-event stall penalties, see
-          [Lp_mem.Memory.miss_penalty_run] *)
-  mutable run_uncached_reads : int;
-      (** {!drain} only: reads inside the uncached window, one word each *)
-  mutable run_uncached_writes : int;  (** likewise for writes *)
-}
-(** Aggregate of one bulk call. The returned record is a per-cache
-    scratch buffer: it is only valid until the next bulk call on the
-    same cache, and must not be mutated. Stats, energy and LRU effects
-    are identical to performing the accesses one at a time through
-    {!read}/{!write}. *)
+val fetch : t -> int -> int -> int
+(** [fetch c byte_addr n] performs the [n] sequential word reads of a
+    basic block's instruction fetch (word-aligned), one probe per line.
+    It does {e not} count the reads: the caller settles them with
+    {!count_reads}. It returns [!(epoch c)] when the cache is
+    direct-mapped and every line hit, and [-1] otherwise: while
+    {!epoch} still holds the returned value, the same fetch would hit
+    again and move nothing but LRU stamps that one way per set never
+    consults, so the caller may skip it (the residency epoch, DESIGN
+    §13). *)
 
-val read_run : t -> int -> int -> run_event
-(** [read_run c byte_addr n] reads [n] sequential words starting at
-    [byte_addr] (word-aligned) — the instruction fetch of a basic
-    block. The run may span lines and pays one probe per line, unless
-    the same [(byte_addr, n)] fetch last completed without a miss, the
-    cache is direct-mapped, and no line has been filled or flushed
-    since: then it probes nothing (the residency epoch, DESIGN §13). *)
+val epoch : t -> int ref
+(** The residency epoch, bumped on every line fill and every {!flush}.
+    Read only. *)
+
+val count_reads : t -> int -> unit
+(** [count_reads c n] adds [n] reads to {!stats} (array energy
+    included): the fetched words {!fetch} left uncounted. *)
 
 val fetch_probes : t -> int
-(** Tag probes {!read_run} has made so far (one per line on its slow
-    path). A count for tests and benches; not part of {!stats}. *)
+(** Tag probes {!fetch} has made so far (one per line). A count for
+    tests and benches; not part of {!stats}. *)
 
-val drain :
-  t -> uncached_lo:int -> uncached_hi:int -> int array -> int -> run_event
-(** [drain c ~uncached_lo ~uncached_hi buf n] performs the first [n]
-    data accesses of [buf] in order, each packed as
-    [byte_addr lor write_bit] (addresses word-aligned, bit 0 = write).
-    Maximal runs of same-kind accesses to one line pay one probe each.
-    Accesses with [uncached_lo <= byte_addr < uncached_hi] bypass the
-    cache: they touch no counter of it and are returned as
-    [run_uncached_reads]/[run_uncached_writes].
-    @raise Invalid_argument if [n] exceeds [Array.length buf]. *)
+val data_port :
+  t -> uncached_lo:int -> uncached_hi:int -> (int -> unit) * (int -> unit)
+(** [data_port c ~uncached_lo ~uncached_hi] is [(read, write)]: one data
+    access each, by byte address, in program order. Accesses with
+    [uncached_lo <= byte_addr < uncached_hi] bypass the cache: they
+    touch no line and no {!stats} counter and are counted in
+    {!traffic} as uncached words. *)
+
+type traffic = {
+  misses : int;  (** miss events, reads and writes *)
+  fill_words : int;  (** words fetched for line fills *)
+  evict_words : int;
+      (** dirty words written back on replacement ({!flush} excluded:
+          its caller charges what it returns) *)
+  through_words : int;  (** words written through *)
+  miss_words : int;
+      (** words moved by the miss events alone (fills, their evictions,
+          and the word of a write-through write miss): with [misses]
+          this is the exact sum of per-event stall penalties, see
+          [Lp_mem.Memory.miss_penalty_run] *)
+  uncached_reads : int;  (** {!data_port} reads in the uncached window *)
+  uncached_writes : int;
+}
+
+val traffic : t -> traffic
+(** Cumulative memory traffic of every access so far, through any entry
+    point. A product of the counters, so it costs nothing per access. *)
 
 val locate : t -> int -> int * int
 (** [(set, tag)] of a byte address — exposed so tests can check the

@@ -20,11 +20,13 @@ type options = {
 
 let default_jobs = max 1 (min 8 (Domain.recommended_domain_count ()))
 
-(* Below this many (cluster × resource set) pairs the candidate fan-out
+(* Up to this many (cluster × resource set) pairs the candidate fan-out
    runs sequentially even when [jobs > 1]: spinning up a domain pool
    costs on the order of a millisecond, while a single memoized
    evaluation is tens of microseconds (and a warm one, microseconds) —
-   a small fan-out finishes before the workers would. *)
+   a small fan-out finishes before the workers would. The default
+   options give exactly this many pairs ([n_max] 8 × 4 sets), and such
+   a flow stays in one domain. *)
 let pool_threshold = 32
 
 let default_options =
@@ -341,9 +343,13 @@ let run ?(options = default_options) ?cancel ~name program =
             ~scheduler:options.scheduler ~e_trans_j:est.Preselect.energy_j
             prepared rset
         in
+        let pooled =
+          options.jobs > 1 && Array.length pairs > options.pool_threshold
+        in
+        Lp_trace.counter "flow.candidates.pool_domains"
+          (if pooled then options.jobs - 1 else 0);
         let evaluated =
-          if options.jobs <= 1 || Array.length pairs < options.pool_threshold
-          then Array.map eval pairs
+          if not pooled then Array.map eval pairs
           else
             Lp_parallel.Pool.with_pool ~domains:(options.jobs - 1) (fun pool ->
                 Lp_parallel.Pool.map ?cancel pool eval pairs)

@@ -41,10 +41,12 @@ type options = {
           identical to the sequential order — for any value. Default:
           {!default_jobs}. *)
   pool_threshold : int;
-      (** minimum (cluster × resource set) fan-out for which [run]
-          creates a worker pool; below it evaluation is sequential
+      (** the largest (cluster × resource set) fan-out that [run]
+          evaluates sequentially; only a larger one gets a worker pool,
           because a memoized evaluation (~tens of µs) is far cheaper
-          than pool spin-up (~1 ms). Default: {!pool_threshold}.
+          than pool spin-up (~1 ms). The default options' largest
+          fan-out ([n_max] 8 × 4 sets = 32) stays sequential. Default:
+          {!pool_threshold}.
           Sweeping callers — the explorer, the service daemon — tune
           it per workload. *)
 }
@@ -169,9 +171,10 @@ val run :
   Lp_ir.Ast.program ->
   result
 (** Run the whole flow. The candidate fan-out runs on a scratch pool
-    only when [options.jobs > 1] {e and} the fan-out is large enough to
-    repay pool construction (see [pool_threshold]); small design
-    spaces run sequentially. The initial ("I") simulation runs inline
+    only when [options.jobs > 1] {e and} the fan-out exceeds
+    [pool_threshold]; smaller design spaces run sequentially. The trace
+    counter [flow.candidates.pool_domains] records the worker domains
+    spawned (0 when sequential), beside [flow.candidates.pairs]. The initial ("I") simulation runs inline
     after pre-selection, memoized by {!Memo.initial_report} on
     program × system config.
 
@@ -185,6 +188,7 @@ val run :
     diverge from the reference (with [verify_outputs]). *)
 
 val pool_threshold : int
-(** The default of [options.pool_threshold] (32). *)
+(** The default of [options.pool_threshold] (32): a fan-out of more
+    than 32 pairs gets a pool. *)
 
 val pp_summary : Format.formatter -> result -> unit

@@ -1,7 +1,7 @@
 (** Seeded synthetic workload generator.
 
     The six paper applications finish a full flow in ~2 ms and never
-    reach [Flow.pool_threshold], so every parallel/throughput claim
+    exceed [Flow.pool_threshold], so every parallel/throughput claim
     measured on them is bottlenecked on overhead, not work. This module
     grows the workload axis: it emits {e valid} IR programs (built with
     {!Lp_ir.Builder}, so every program passes {!Lp_ir.Validate}) across

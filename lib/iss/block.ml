@@ -7,15 +7,20 @@
    instruction is compiled into a {e superop}: a chain of closures (one
    per instruction, each tail-calling the next) plus pre-aggregated
    accounting — total base cycles, per-opclass execution counts, and
-   intra-block class-transition count. Executing the block then costs a
-   handful of integer field updates, one bulk I-cache call for the whole
-   fetch run (one tag probe per cache line instead of per instruction),
-   and the closure chain for the architectural effects. Data accesses
-   are not performed against the cache one by one either: each Ld/St
-   pushes a packed (byte address | write bit) int into the machine's
-   access buffer, and the buffer is drained through the bulk
-   [daccess_run] hook exactly once per block, at the exit closure —
-   before any branch, acall, or halt takes effect.
+   intra-block class-transition count.
+
+   A block entry does only the work that cannot wait: it charges fuel,
+   counts the entry in the block's own record, settles the one class
+   transition that depends on the block executed before it, and fetches
+   the block through the I-fetch hook unless the I-cache's residency
+   epoch says the fetch would change nothing. Instruction counts,
+   cycles, class counts and intra-block transitions are entries ×
+   the block's aggregates, folded in once when the counters are read
+   ({!totals}). Each Ld/St closure hands its access to the D-hook
+   directly, so the data cache sees every access in program order, and
+   an acall's coherence flush sees every access before it. Stall
+   cycles and memory traffic are the memory system's business: its
+   [settle] hook reports them once, when the machine halts.
 
    Any pc is a valid block leader, and blocks may overlap (a branch
    into the middle of an already-decoded block simply decodes a second,
@@ -24,14 +29,13 @@
 
    Equivalence with the per-instruction engine ([step]/[run_stepwise])
    is exact on every integer counter: cycles and class counts are sums
-   over the same instructions; the I-cache still counts one read per
-   instruction (bulk runs account k reads for a k-word fetch); the
-   D-cache sees the same access stream in the same order because the
-   instruction and data streams hit different caches and each stream's
-   internal order is preserved. Energy totals differ only in float
-   summation order (k accesses charged as [k *. e] instead of k
-   additions of [e]), well within the 1e-9 relative tolerance the
-   differential goldens allow. *)
+   over the same instructions; every executed instruction is fetched
+   once (the memory system counts I-cache reads per executed
+   instruction at [settle]); the D-cache sees the same access stream in
+   the same order because the instruction and data streams hit
+   different caches. Both engines' counters sum, so the stepwise
+   fallback at the end of the fuel adds to the block counts. Energy is
+   computed from the same integer totals either way. *)
 
 module Isa = Lp_isa.Isa
 module Word = Lp_ir.Word
@@ -51,32 +55,38 @@ type t = {
   mutable halted : bool;
   mutable fuel : int;
   mutable out : int list;
+  (* Direct counters. The stepwise engine counts every instruction
+     here; block mode adds only what depends on the path between
+     blocks. The taken-branch cycles are derived from [taken_branches]
+     by [totals]. *)
   mutable instr_count : int;
   mutable up_cycles : int;
-  mutable stall_cycles : int;
+  mutable stall_cycles : int;  (** settled at halt *)
   mutable asic_cycles : int;
   mutable taken_branches : int;
   mutable class_transitions : int;
-  mutable last_tag : int;  (** -1 before the first instruction *)
+  mutable last_tag : int;  (** opclass tag of the last instruction *)
   class_counts : int array;  (** indexed by opclass tag *)
   hooks : hooks;
+  fetch_epoch : int ref;  (** [hooks.iepoch] *)
   blocks : block option array;  (** lazily decoded, indexed by leader pc *)
-  dbuf : int array;  (** pending D-accesses: [byte_addr lor write_bit] *)
-  mutable dbuf_len : int;
+  mutable decoded : block list;
   mutable blocks_decoded : int;
-  mutable block_entries : int;
 }
 
 and hooks = {
-  ifetch_run : int -> int -> int;
-      (** [ifetch_run byte_addr n]: fetch of [n] sequential instruction
-          words starting at [byte_addr]; returns total stall cycles. *)
-  daccess_run : int array -> int -> int;
-      (** [daccess_run buf n]: the first [n] entries of [buf] are data
-          accesses in program order, each packed as
-          [byte_addr lor write_bit] (addresses are word-aligned, so bit
-          0 is free); returns total stall cycles. *)
+  ifetch : int -> int -> int;
+      (** [ifetch byte_addr n]: fetch of [n] sequential instruction
+          words starting at [byte_addr]; returns the value of [!iepoch]
+          under which repeating this fetch would change nothing, or
+          [-1]. *)
+  iepoch : int ref;
+  dread : int -> unit;  (** one data read, byte address *)
+  dwrite : int -> unit;  (** one data write, byte address *)
   acall : t -> int -> unit;
+  settle : int -> int;
+      (** [settle instrs]: called once, at halt, with the number of
+          executed instructions; returns the run's stall cycles. *)
 }
 
 and block = {
@@ -88,13 +98,23 @@ and block = {
   b_intra : int;  (** class transitions inside the block *)
   b_cls : int array;  (** flattened (tag, count) pairs, counts > 0 *)
   b_ops : t -> int;  (** execute; returns the next pc *)
+  mutable b_entries : int;
+  mutable b_epoch : int;
+      (** I-cache epoch under which the block's fetch last hit in
+          full; -1 when it must be fetched again *)
 }
+
+(* Never written: a null fetch settles at epoch 0 forever. *)
+let null_epoch = ref 0
 
 let null_hooks =
   {
-    ifetch_run = (fun _ _ -> 0);
-    daccess_run = (fun _ _ -> 0);
+    ifetch = (fun _ _ -> 0);
+    iepoch = null_epoch;
+    dread = ignore;
+    dwrite = ignore;
     acall = (fun _ _ -> fail "acall with null hooks");
+    settle = (fun _ -> 0);
   }
 
 let create ?(fuel = 500_000_000) (prog : Isa.program) hooks =
@@ -107,6 +127,7 @@ let create ?(fuel = 500_000_000) (prog : Isa.program) hooks =
       cls_of_pc.(i) <- Isa.opclass_tag cls;
       cyc_of_pc.(i) <- Energy_model.base_cycles cls)
     prog.Isa.code;
+  let entry = prog.Isa.entry_pc in
   {
     code = prog.Isa.code;
     code_len = n;
@@ -114,7 +135,7 @@ let create ?(fuel = 500_000_000) (prog : Isa.program) hooks =
     cyc_of_pc;
     regs = Array.make Isa.reg_count 0;
     mem = Array.make prog.Isa.data_words 0;
-    pc = prog.Isa.entry_pc;
+    pc = entry;
     halted = false;
     fuel;
     out = [];
@@ -124,16 +145,16 @@ let create ?(fuel = 500_000_000) (prog : Isa.program) hooks =
     asic_cycles = 0;
     taken_branches = 0;
     class_transitions = 0;
-    last_tag = -1;
+    (* The first instruction is no transition: start from its own
+       class, so no entry needs a "nothing ran yet" test. An entry pc
+       out of range fails before anything is counted. *)
+    last_tag = (if entry >= 0 && entry < n then cls_of_pc.(entry) else -1);
     class_counts = Array.make Isa.opclass_count 0;
     hooks;
+    fetch_epoch = hooks.iepoch;
     blocks = Array.make (max n 1) None;
-    (* a block performs at most one D-access per instruction, and the
-       stepwise engine uses slot 0 for its single-access runs *)
-    dbuf = Array.make (n + 1) 0;
-    dbuf_len = 0;
+    decoded = [];
     blocks_decoded = 0;
-    block_entries = 0;
   }
 
 let load_data t base img =
@@ -171,17 +192,58 @@ let push_output t v = t.out <- v :: t.out
 
 let add_asic_cycles t c = t.asic_cycles <- t.asic_cycles + c
 
-let block_stats t = (t.blocks_decoded, t.block_entries)
+(* --- counters ------------------------------------------------------- *)
+
+type totals = {
+  instrs : int;
+  cycles : int;  (** base cycles plus taken-branch refills *)
+  transitions : int;
+  entries : int;
+  classes : int array;  (** executions per opclass tag *)
+}
+
+(* The direct counters plus entries × each decoded block's aggregates.
+   Integer sums in any order are the same sums, so this equals counting
+   per entry. *)
+let totals t =
+  let classes = Array.copy t.class_counts in
+  let instrs = ref t.instr_count
+  and cycles =
+    ref (t.up_cycles + (t.taken_branches * Energy_model.taken_branch_cycles))
+  and transitions = ref t.class_transitions
+  and entries = ref 0 in
+  List.iter
+    (fun b ->
+      let e = b.b_entries in
+      if e > 0 then begin
+        entries := !entries + e;
+        instrs := !instrs + (e * b.b_len);
+        cycles := !cycles + (e * b.b_cycles);
+        transitions := !transitions + (e * b.b_intra);
+        let cls = b.b_cls in
+        for i = 0 to (Array.length cls / 2) - 1 do
+          let tag = cls.(2 * i) in
+          classes.(tag) <- classes.(tag) + (e * cls.((2 * i) + 1))
+        done
+      end)
+    t.decoded;
+  {
+    instrs = !instrs;
+    cycles = !cycles;
+    transitions = !transitions;
+    entries = !entries;
+    classes;
+  }
+
+let block_stats t = (t.blocks_decoded, (totals t).entries)
+
+(* Both engines halt here: the memory system settles what it deferred
+   and reports the run's stall cycles. *)
+let halt t =
+  t.halted <- true;
+  t.stall_cycles <- t.stall_cycles + t.hooks.settle (totals t).instrs
 
 let data_byte_addr word_addr = Isa.data_base_byte + (word_addr * 4)
-
-let flush_daccesses t =
-  let n = t.dbuf_len in
-  if n > 0 then begin
-    t.dbuf_len <- 0;
-    let st = t.hooks.daccess_run t.dbuf n in
-    if st <> 0 then t.stall_cycles <- t.stall_cycles + st
-  end
 
 (* --- the per-instruction reference engine --------------------------- *)
 
@@ -189,11 +251,7 @@ let get t r = if r = Isa.zero_reg then 0 else t.regs.(r)
 
 let set t r v = if r <> Isa.zero_reg then t.regs.(r) <- Word.norm v
 
-let stall t cycles = t.stall_cycles <- t.stall_cycles + cycles
-
-let taken_branch t =
-  t.up_cycles <- t.up_cycles + Energy_model.taken_branch_cycles;
-  t.taken_branches <- t.taken_branches + 1
+let taken_branch t = t.taken_branches <- t.taken_branches + 1
 
 let eval_cmp c a b =
   match (c : Isa.cmp) with
@@ -206,14 +264,12 @@ let eval_cmp c a b =
 
 let dload t a =
   if a < 0 || a >= Array.length t.mem then fail "read at bad address %d" a;
-  t.dbuf.(0) <- data_byte_addr a;
-  stall t (t.hooks.daccess_run t.dbuf 1);
+  t.hooks.dread (data_byte_addr a);
   Array.unsafe_get t.mem a
 
 let dstore t a v =
   if a < 0 || a >= Array.length t.mem then fail "write at bad address %d" a;
-  t.dbuf.(0) <- data_byte_addr a lor 1;
-  stall t (t.hooks.daccess_run t.dbuf 1);
+  t.hooks.dwrite (data_byte_addr a);
   Array.unsafe_set t.mem a (Word.norm v)
 
 let step t =
@@ -221,13 +277,12 @@ let step t =
   t.fuel <- t.fuel - 1;
   let pc = t.pc in
   if pc < 0 || pc >= t.code_len then fail "pc %d out of code range" pc;
-  stall t (t.hooks.ifetch_run (pc * 4) 1);
+  ignore (t.hooks.ifetch (pc * 4) 1);
   let i = Array.unsafe_get t.code pc in
   t.instr_count <- t.instr_count + 1;
   t.up_cycles <- t.up_cycles + Array.unsafe_get t.cyc_of_pc pc;
   let tag = Array.unsafe_get t.cls_of_pc pc in
-  if t.last_tag >= 0 && t.last_tag <> tag then
-    t.class_transitions <- t.class_transitions + 1;
+  if t.last_tag <> tag then t.class_transitions <- t.class_transitions + 1;
   t.last_tag <- tag;
   t.class_counts.(tag) <- t.class_counts.(tag) + 1;
   let next = pc + 1 in
@@ -281,7 +336,7 @@ let step t =
   | Isa.Jr r -> t.pc <- get t r
   | Isa.Print r -> t.out <- get t r :: t.out
   | Isa.Acall k -> t.hooks.acall t k
-  | Isa.Halt -> t.halted <- true
+  | Isa.Halt -> halt t
   | Isa.Nop -> ());
   match i with
   | Isa.Bnez _ | Isa.Beqz _ | Isa.Jmp _ | Isa.Jal _ | Isa.Jr _ -> ()
@@ -321,12 +376,13 @@ let[@inline] w32 x = ((x land 0xFFFFFFFF) lxor 0x80000000) - 0x80000000
    accesses; writes to r0 are dropped at compile time, which keeps
    [regs.(0) = 0] an invariant and lets reads skip the zero-register
    check. Per-instruction *accounting* (cycles, classes, fetch) is not
-   here — it is aggregated per block. *)
+   here — it is aggregated per block. Loads and stores hand their byte
+   address to the D-hook themselves. *)
 let chain_op t pc instr (next : t -> int) : t -> int =
   let regs = t.regs in
   let mem = t.mem in
-  let dbuf = t.dbuf in
   let ml = Array.length t.mem in
+  let base = Isa.data_base_byte in
   match instr with
   | Isa.Add (d, a, b) ->
       let d = vr d and a = vr a and b = vr b in
@@ -440,27 +496,26 @@ let chain_op t pc instr (next : t -> int) : t -> int =
       if d = 0 then next else fun t -> Array.unsafe_set regs d (Array.unsafe_get regs a); next t
   | Isa.Ld (d, a, off) ->
       let d = vr d and a = vr a in
+      let dread = t.hooks.dread in
       if d = 0 then (fun t ->
         let w = Array.unsafe_get regs a + off in
         if w < 0 || w >= ml then fail "read at bad address %d" w;
-        Array.unsafe_set dbuf t.dbuf_len (data_byte_addr w);
-        t.dbuf_len <- t.dbuf_len + 1;
+        dread (base + (w lsl 2));
         next t)
       else
         fun t ->
           let w = Array.unsafe_get regs a + off in
           if w < 0 || w >= ml then fail "read at bad address %d" w;
-          Array.unsafe_set dbuf t.dbuf_len (data_byte_addr w);
-          t.dbuf_len <- t.dbuf_len + 1;
+          dread (base + (w lsl 2));
           Array.unsafe_set regs d (Array.unsafe_get mem w);
           next t
   | Isa.St (v, a, off) ->
       let v = vr v and a = vr a in
+      let dwrite = t.hooks.dwrite in
       fun t ->
         let w = Array.unsafe_get regs a + off in
         if w < 0 || w >= ml then fail "write at bad address %d" w;
-        Array.unsafe_set dbuf t.dbuf_len (data_byte_addr w lor 1);
-        t.dbuf_len <- t.dbuf_len + 1;
+        dwrite (base + (w lsl 2));
         Array.unsafe_set mem w (Array.unsafe_get regs v);
         next t
   | Isa.Print r ->
@@ -473,18 +528,16 @@ let chain_op t pc instr (next : t -> int) : t -> int =
   | Isa.Halt ->
       assert false (* terminators are compiled by [exit_op] *)
 
-(* The block's last closure: drain the pending D-accesses (so the cache
-   sees them before any acall flush or the next block's stream), then
-   resolve control and return the next pc. *)
+(* The block's last closure: resolve control and return the next pc.
+   Every data access of the block has already been settled by its own
+   closure, so an acall's flush sees all of them. *)
 let exit_op regs last instr : t -> int =
   let fall = last + 1 in
   match instr with
   | Isa.Bnez (r, target) ->
       let r = vr r in
       fun t ->
-        flush_daccesses t;
         if Array.unsafe_get regs r <> 0 then begin
-          t.up_cycles <- t.up_cycles + Energy_model.taken_branch_cycles;
           t.taken_branches <- t.taken_branches + 1;
           target
         end
@@ -492,36 +545,26 @@ let exit_op regs last instr : t -> int =
   | Isa.Beqz (r, target) ->
       let r = vr r in
       fun t ->
-        flush_daccesses t;
         if Array.unsafe_get regs r = 0 then begin
-          t.up_cycles <- t.up_cycles + Energy_model.taken_branch_cycles;
           t.taken_branches <- t.taken_branches + 1;
           target
         end
         else fall
-  | Isa.Jmp target ->
-      fun t ->
-        flush_daccesses t;
-        target
+  | Isa.Jmp target -> fun _ -> target
   | Isa.Jal target ->
-      fun t ->
-        flush_daccesses t;
+      fun _ ->
         Array.unsafe_set regs Isa.ra_reg fall;
         target
   | Isa.Jr r ->
       let r = vr r in
-      fun t ->
-        flush_daccesses t;
-        Array.unsafe_get regs r
+      fun _ -> Array.unsafe_get regs r
   | Isa.Acall k ->
       fun t ->
-        flush_daccesses t;
         t.hooks.acall t k;
         fall
   | Isa.Halt ->
       fun t ->
-        flush_daccesses t;
-        t.halted <- true;
+        halt t;
         fall
   | _ -> assert false
 
@@ -564,9 +607,7 @@ let decode t l =
       (* the code ran out with no terminator: execute the final
          instruction normally, then fail at the fall-through pc like
          the per-instruction engine does *)
-      chain_op t last term (fun t ->
-          flush_daccesses t;
-          fail "pc %d out of code range" n)
+      chain_op t last term (fun _ -> fail "pc %d out of code range" n)
   in
   let rec build i next =
     if i < l then next
@@ -582,34 +623,29 @@ let decode t l =
       b_intra = !intra;
       b_cls = cls;
       b_ops = build (last - 1) exit_;
+      b_entries = 0;
+      b_epoch = -1;
     }
   in
   t.blocks.(l) <- Some b;
+  t.decoded <- b :: t.decoded;
   t.blocks_decoded <- t.blocks_decoded + 1;
   b
 
 (* --- the dispatcher ------------------------------------------------- *)
 
+(* The whole per-entry cost. The fetch is skipped when the block's
+   fetch last hit in full and the I-cache has filled or flushed no line
+   since: it would find every line resident again, and the reads it
+   would count are settled per executed instruction at halt. *)
 let exec_block t b =
   t.fuel <- t.fuel - b.b_len;
-  t.block_entries <- t.block_entries + 1;
-  t.instr_count <- t.instr_count + b.b_len;
-  t.up_cycles <- t.up_cycles + b.b_cycles;
-  if t.last_tag >= 0 && t.last_tag <> b.b_first_tag then
+  b.b_entries <- b.b_entries + 1;
+  if t.last_tag <> b.b_first_tag then
     t.class_transitions <- t.class_transitions + 1;
-  t.class_transitions <- t.class_transitions + b.b_intra;
   t.last_tag <- b.b_last_tag;
-  let cls = b.b_cls in
-  let cc = t.class_counts in
-  let np = Array.length cls in
-  let i = ref 0 in
-  while !i < np do
-    let tag = Array.unsafe_get cls !i in
-    cc.(tag) <- cc.(tag) + Array.unsafe_get cls (!i + 1);
-    i := !i + 2
-  done;
-  let st = t.hooks.ifetch_run (b.b_pc * 4) b.b_len in
-  if st <> 0 then t.stall_cycles <- t.stall_cycles + st;
+  if b.b_epoch <> !(t.fetch_epoch) then
+    b.b_epoch <- t.hooks.ifetch (b.b_pc * 4) b.b_len;
   t.pc <- b.b_ops t
 
 let run t =

@@ -6,32 +6,31 @@
 
 include Block
 
-(* Adapt per-word callbacks to the bulk hook interface: expand each
-   fetch run into per-word calls and unpack the D-access buffer into
-   dread/dwrite calls in program order. Used by tests and the trace
-   tool, which want to observe individual accesses; production callers
-   (the system simulator) implement the bulk hooks directly. *)
+(* Adapt per-word callbacks to the hooks: expand each fetch run into
+   per-word calls (and never let a fetch be skipped), and add up the
+   stall cycles the callbacks return so that [settle] reports them.
+   Used by tests and the trace tool, which want to observe individual
+   accesses; the system simulator settles its caches directly. *)
 let word_hooks ?(ifetch = fun _ -> 0) ?(dread = fun _ -> 0)
     ?(dwrite = fun _ -> 0)
     ?(acall = fun _ _ -> raise (Runtime_error "acall with null hooks")) () =
+  let stalls = ref 0 in
   {
-    ifetch_run =
+    ifetch =
       (fun addr n ->
-        let st = ref 0 in
         for i = 0 to n - 1 do
-          st := !st + ifetch (addr + (i * 4))
+          stalls := !stalls + ifetch (addr + (i * 4))
         done;
-        !st);
-    daccess_run =
-      (fun buf n ->
-        let st = ref 0 in
-        for i = 0 to n - 1 do
-          let e = buf.(i) in
-          if e land 1 = 1 then st := !st + dwrite (e lxor 1)
-          else st := !st + dread e
-        done;
-        !st);
+        -1);
+    iepoch = ref 0;
+    dread = (fun a -> stalls := !stalls + dread a);
+    dwrite = (fun a -> stalls := !stalls + dwrite a);
     acall;
+    settle =
+      (fun _ ->
+        let s = !stalls in
+        stalls := 0;
+        s);
   }
 
 type result = {
@@ -49,7 +48,7 @@ type result = {
    transition, the refill energy per taken branch, and the stall energy
    per stalled cycle. Equal to a per-instruction accumulation up to
    float summation order (well within 1e-9 relative). *)
-let up_energy_of (t : t) =
+let up_energy_of (t : t) (tot : totals) =
   let e = ref 0.0 in
   Array.iteri
     (fun tag n ->
@@ -58,25 +57,26 @@ let up_energy_of (t : t) =
           !e
           +. (float_of_int n
              *. Energy_model.base_energy_j (Isa.opclass_of_tag tag)))
-    t.class_counts;
+    tot.classes;
   !e
-  +. (float_of_int t.class_transitions *. Energy_model.inter_instr_overhead_j)
+  +. (float_of_int tot.transitions *. Energy_model.inter_instr_overhead_j)
   +. (float_of_int t.taken_branches *. Energy_model.taken_branch_energy_j)
   +. (float_of_int t.stall_cycles *. Energy_model.stall_energy_per_cycle_j)
 
 let result (t : t) =
+  let tot = totals t in
   let class_counts = ref [] in
   for tag = Isa.opclass_count - 1 downto 0 do
-    let n = t.class_counts.(tag) in
+    let n = tot.classes.(tag) in
     if n > 0 then class_counts := (Isa.opclass_of_tag tag, n) :: !class_counts
   done;
   {
     outputs = List.rev t.out;
-    instr_count = t.instr_count;
-    up_cycles = t.up_cycles;
+    instr_count = tot.instrs;
+    up_cycles = tot.cycles;
     stall_cycles = t.stall_cycles;
     asic_cycles = t.asic_cycles;
-    up_energy_j = up_energy_of t;
+    up_energy_j = up_energy_of t tot;
     class_counts = !class_counts;
   }
 

@@ -6,41 +6,53 @@
 
     The simulator owns the uP core only. The memory system (caches,
     bus, main memory) and any ASIC cores are supplied as {!hooks} by the
-    system simulator, which charges their energy on its own books; the
-    hooks return the stall cycles the uP observes. This keeps the
-    per-core energy split of Table 1 honest: uP energy here, everything
-    else where it physically happens.
+    system simulator, which charges their energy on its own books and
+    reports the stall cycles the uP observed once, when the run halts.
+    This keeps the per-core energy split of Table 1 honest: uP energy
+    here, everything else where it physically happens.
 
     Execution is block-compiled: straight-line regions are lazily
     decoded into basic-block superops (pre-aggregated cycle/class
-    accounting plus a direct-threaded closure chain) and the memory
-    hooks are invoked once per block with whole access runs — one
-    I-fetch run and one D-access drain per block. The
+    accounting plus a direct-threaded closure chain). A block entry
+    only charges fuel, counts itself, settles the class transition
+    from the previous block and, unless the I-cache's residency epoch
+    makes it redundant, fetches the block in one hook call; every
+    load and store calls the D-hook itself. Totals are entries × the
+    blocks' aggregates, folded in when they are read. The
     per-instruction reference interpreter ({!run_stepwise}) remains as
     the differential oracle; both paths produce identical integer
-    counters (energy may differ in float summation order only). *)
+    counters. *)
 
 type t
 (** A running machine. *)
 
 type hooks = {
-  ifetch_run : int -> int -> int;
-      (** [ifetch_run byte_addr n] models the fetch of [n] sequential
+  ifetch : int -> int -> int;
+      (** [ifetch byte_addr n] models the fetch of [n] sequential
           instruction words starting at [byte_addr] (one basic block, or
-          one instruction when the reference engine runs); returns total
-          uP stall cycles. *)
-  daccess_run : int array -> int -> int;
-      (** [daccess_run buf n]: the first [n] entries of [buf] are the
-          block's data accesses in program order, each packed as
-          [byte_addr lor write_bit] (data addresses are word-aligned, so
-          bit 0 is free); returns total uP stall cycles. The buffer is
-          owned by the machine and only valid during the call. *)
+          one instruction when the reference engine runs). It returns
+          the value of [!iepoch] under which the same fetch would change
+          nothing — every word hit in a cache whose replacement state
+          the hits do not move — or [-1]. A block entry skips its fetch
+          while [!iepoch] still holds the value its last fetch
+          returned. I-cache reads are not the fetch's to count: they
+          are one per executed instruction, see [settle]. *)
+  iepoch : int ref;
+      (** the I-cache's residency epoch, written by the memory system
+          whenever a line is filled or flushed; read-only here *)
+  dread : int -> unit;  (** one data read, byte address *)
+  dwrite : int -> unit;  (** one data write, byte address *)
   acall : t -> int -> unit;
       (** [acall machine k]: execute ASIC cluster [k]. The callback may
           use {!read_mem}/{!write_mem}/{!push_output} and must add the
           ASIC's cycles via {!add_asic_cycles}. The uP core is shut down
-          meanwhile (no uP energy, no uP cycles). All of the machine's
-          pending data accesses are drained before the callback runs. *)
+          meanwhile (no uP energy, no uP cycles). Every earlier data
+          access has already reached [dread]/[dwrite]. *)
+  settle : int -> int;
+      (** [settle instrs] is called once, when the machine halts, with
+          the number of instructions it executed. The memory system
+          charges what it deferred and returns the run's stall
+          cycles. *)
 }
 
 val null_hooks : hooks
@@ -53,11 +65,12 @@ val word_hooks :
   ?acall:(t -> int -> unit) ->
   unit ->
   hooks
-(** Build bulk hooks from per-word callbacks: each fetch run is expanded
-    into one [ifetch] call per instruction word and each drained data
-    access into one [dread]/[dwrite] call, in program order. For tests
-    and tracing; omitted callbacks return zero stalls ([acall] fails
-    like {!null_hooks}). *)
+(** Hooks from per-word callbacks that return stall cycles: each fetch
+    run is expanded into one [ifetch] call per instruction word (no
+    fetch is ever skipped) and each data access is one [dread]/[dwrite]
+    call, in program order. The returned stalls add up to what
+    [settle] reports. For tests and tracing; omitted callbacks return
+    zero stalls ([acall] fails like {!null_hooks}). *)
 
 exception Runtime_error of string
 
@@ -79,6 +92,7 @@ val run_stepwise : t -> unit
 val block_stats : t -> int * int
 (** [(blocks_decoded, block_entries)]: static superops compiled so far
     and dynamic block executions. [run_stepwise] leaves both at 0. *)
+
 
 (** {2 State access (also for [acall] callbacks)} *)
 

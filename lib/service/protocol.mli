@@ -31,8 +31,8 @@
       a pre-platform one
     - [icache_bytes], [dcache_bytes] (int) — cache size overrides
     - [optimize] (bool), [unroll] (int) — IR preparation, as in the CLI
-    - [pool_threshold] (int) — minimum candidate fan-out before the
-      flow spins up its own pool
+    - [pool_threshold] (int) — the largest candidate fan-out the flow
+      evaluates without spinning up its own pool
 
     Override precedence: a raw field ([icache_bytes], [dcache_bytes])
     beats the named platform's value — the platform supplies the base

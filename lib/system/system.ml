@@ -240,56 +240,70 @@ type accounting = {
   mutable asic_invocations : int;
 }
 
-(* The uP-side memory system as bulk ISS hooks. The block engine hands
-   over whole access runs — one I-fetch run per basic block, one
-   D-access drain per block — and each is settled by one [Cache] call:
-   [Cache.read_run] for the fetch, [Cache.drain] for the D-buffer,
-   which coalesces same-kind same-line runs and counts the uncached
-   mailbox words itself. Memory and bus are then charged once per call
-   from the aggregate. That is exact: word counts add up, the miss
-   penalty is linear in misses and words
-   ([Memory.miss_penalty_run_of]), and every mailbox word is one
-   single-word transaction at a fixed penalty. Runs are consecutive
-   pieces of each stream's access order, and the I- and D-streams touch
-   disjoint caches, so batching never reorders what a cache observes.
+(* The uP-side memory system as ISS hooks. A block's fetch is one
+   [Cache.fetch] call, skipped by the ISS while the I-cache's residency
+   epoch says it would change nothing; every load and store is one call
+   into the D-cache's port, which counts the uncached mailbox words
+   itself. Nothing is charged per call: at halt, [settle] counts one
+   I-cache read per executed instruction and charges memory, bus and
+   stall cycles once from the caches' cumulative [Cache.traffic]. That
+   is exact: word counts add up, the miss penalty is linear in misses
+   and words ([Memory.miss_penalty_run_of]), every mailbox word is one
+   single-word transaction at a fixed penalty, and nothing reads these
+   charges while the run is in progress (the acall handshake charges
+   the words of its own flush, which [traffic] leaves out). The caches
+   must be fresh: [settle] charges everything they have seen.
 
    Exposed (with the mailbox window defaulting to empty) so the
    differential tests can wire the production memory system to both the
    block engine and the per-instruction reference engine. *)
 let memory_hooks ~icache ~dcache ~mem ?(mailbox_lo = 0) ?(mailbox_hi = 0)
     ~acall () =
-  let word_penalty = Memory.miss_penalty_cycles_of mem ~words:1 in
-  let charge (re : Cache.run_event) =
-    let ur = re.Cache.run_uncached_reads
-    and uw = re.Cache.run_uncached_writes in
-    if re.Cache.run_misses = 0 && re.Cache.run_through_words = 0 && ur = 0
-       && uw = 0
-    then 0
-    else begin
-      let rd = re.Cache.run_fill_words + ur in
-      let wr =
-        re.Cache.run_writeback_words + re.Cache.run_through_words + uw
-      in
-      Memory.mem_read_words mem rd;
-      Memory.bus_read_words mem rd;
-      Memory.mem_write_words mem wr;
-      Memory.bus_write_words mem wr;
-      Memory.miss_penalty_run_of mem ~misses:re.Cache.run_misses
-        ~words:re.Cache.run_miss_words
-      + ((ur + uw) * word_penalty)
-    end
-  in
-  let ifetch_run addr n = charge (Cache.read_run icache addr n) in
   (* The mailbox window in byte addresses (data addresses are
      word-aligned). *)
   let uncached_lo = Isa.data_base_byte + (4 * mailbox_lo) in
   let uncached_hi = Isa.data_base_byte + (4 * mailbox_hi) in
-  let daccess_run buf n =
-    charge (Cache.drain dcache ~uncached_lo ~uncached_hi buf n)
+  let dread, dwrite = Cache.data_port dcache ~uncached_lo ~uncached_hi in
+  let word_penalty = Memory.miss_penalty_cycles_of mem ~words:1 in
+  let charge c =
+    let tr = Cache.traffic c in
+    let rd = tr.Cache.fill_words + tr.Cache.uncached_reads in
+    let wr =
+      tr.Cache.evict_words + tr.Cache.through_words + tr.Cache.uncached_writes
+    in
+    Memory.mem_read_words mem rd;
+    Memory.bus_read_words mem rd;
+    Memory.mem_write_words mem wr;
+    Memory.bus_write_words mem wr;
+    Memory.miss_penalty_run_of mem ~misses:tr.Cache.misses
+      ~words:tr.Cache.miss_words
+    + ((tr.Cache.uncached_reads + tr.Cache.uncached_writes) * word_penalty)
   in
-  { Iss.ifetch_run; daccess_run; acall }
+  let settle instrs =
+    Cache.count_reads icache instrs;
+    let st = charge icache in
+    st + charge dcache
+  in
+  {
+    Iss.ifetch = Cache.fetch icache;
+    iepoch = Cache.epoch icache;
+    dread;
+    dwrite;
+    acall;
+    settle;
+  }
 
-let run ?(config = default_config) ?(tasks = []) (p : program) =
+type sim = {
+  machine : Iss.t;
+  icache : Cache.t;
+  dcache : Cache.t;
+  mem : Memory.t;
+  acc : accounting;
+  energy_scale : float;
+  clock_period_s : float;
+}
+
+let prepare ?(config = default_config) ?(tasks = []) (p : program) =
   let stubs =
     List.map
       (fun t ->
@@ -415,6 +429,11 @@ let run ?(config = default_config) ?(tasks = []) (p : program) =
   List.iter
     (fun (base, img) -> Iss.load_data machine base img)
     (Compiler.initial_data p layout);
+  { machine; icache; dcache; mem; acc; energy_scale; clock_period_s }
+
+let machine s = s.machine
+
+let finish { machine; icache; dcache; mem; acc; energy_scale; clock_period_s } =
   Iss.run machine;
   let r = Iss.result machine in
   let mem_totals = Memory.totals mem in
@@ -442,6 +461,8 @@ let run ?(config = default_config) ?(tasks = []) (p : program) =
     asic_invocations = acc.asic_invocations;
     class_counts = r.Iss.class_counts;
   }
+
+let run ?config ?tasks p = finish (prepare ?config ?tasks p)
 
 let pp_report ppf r =
   let u = Lp_tech.Units.pp_energy in

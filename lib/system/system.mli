@@ -114,19 +114,35 @@ val memory_hooks :
   acall:(Lp_iss.Iss.t -> int -> unit) ->
   unit ->
   Lp_iss.Iss.hooks
-(** The uP-side memory system as bulk ISS hooks: sequential instruction
-    fetches settle with one cache probe per line, and the D-access
-    buffer is coalesced into maximal same-line same-kind runs (accesses
-    inside the uncached mailbox word-address window
-    [\[mailbox_lo, mailbox_hi)], default empty, go straight over the
-    bus). Accounting is access-for-access identical to per-word hooks;
-    exposed so the differential tests can wire the production memory
-    system to both ISS engines. *)
+(** The uP-side memory system as ISS hooks, as {!prepare} installs it:
+    a block's fetch settles with one cache probe per line (and not at
+    all while the I-cache's residency epoch holds), every data access
+    goes straight to the D-cache (accesses inside the uncached mailbox
+    word-address window [\[mailbox_lo, mailbox_hi)], default empty, go
+    over the bus), and at halt memory, bus and stall cycles are charged
+    once from the caches' cumulative traffic. The caches and [mem] must
+    be fresh. Accounting is access-for-access identical to per-word
+    hooks; exposed so the differential tests can wire the production
+    memory system to both ISS engines. *)
+
+type sim
+(** A compiled program loaded into a machine wired to its memory
+    system and ASIC tasks, not yet run. *)
+
+val prepare :
+  ?config:config -> ?tasks:asic_task list -> Lp_ir.Ast.program -> sim
+(** Compile the program and build the machine {!run} runs. *)
+
+val machine : sim -> Lp_iss.Iss.t
+(** The machine, for callers that time or count the ISS run alone:
+    {!Lp_iss.Iss.run} runs it, memory system included. *)
 
 val run : ?config:config -> ?tasks:asic_task list -> Lp_ir.Ast.program -> report
-(** [run p] compiles and simulates [p]. With [tasks], the corresponding
-    clusters execute on ASIC cores ([Acall] handshake); without, the
-    whole program runs in software — the paper's initial design "I".
+(** [run p] runs the machine of [prepare p] to [Halt] and reports: it
+    compiles and simulates [p]. With
+    [tasks], the corresponding clusters execute on ASIC cores ([Acall]
+    handshake); without, the whole program runs in software — the
+    paper's initial design "I".
 
     The observable outputs are independent of the partitioning; the
     differential tests rely on that. *)

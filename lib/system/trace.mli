@@ -33,8 +33,9 @@ val replay :
   icache:Lp_cache.Cache.config ->
   dcache:Lp_cache.Cache.config ->
   Lp_cache.Cache.stats * Lp_cache.Cache.stats
-(** Drive fresh caches with the stored reference stream; returns
-    (i-cache stats, d-cache stats). *)
+(** Drive fresh caches with the stored reference stream through the
+    memory system {!System.run} installs ({!System.memory_hooks});
+    returns (i-cache stats, d-cache stats). *)
 
 val sweep_dcache :
   t -> Lp_cache.Cache.config list -> (Lp_cache.Cache.config * Lp_cache.Cache.stats) list

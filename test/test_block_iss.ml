@@ -2,11 +2,14 @@
    equivalence with the per-instruction reference engine is load-bearing
    for every golden number in the repo. Three layers of defence:
 
-   - bulk cache laws: [Cache.drain]/[Cache.read_run] must aggregate
-     exactly what the per-access event API reports, including the LRU
-     clock (checked indirectly: after any interleaving the twin caches
-     agree on stats and on the dirty lines flushed), with refetched
-     blocks, flushes and an uncached window in the traces;
+   - bulk cache laws: the co-simulation's paths ([Cache.fetch] with
+     epoch-skipped refetches and [Cache.count_reads], the
+     [Cache.data_port] with an uncached window) must leave in
+     [Cache.traffic] exactly what the per-access event API reports, and
+     the stalls derived from it must be the per-event penalties' sum,
+     including the LRU clock (checked indirectly: after any
+     interleaving the twin caches agree on stats and on the dirty lines
+     flushed), with refetched blocks and flushes in the traces;
    - a differential property: random branchy programs executed by the
      block engine and by [run_stepwise], both wired to the production
      [System.memory_hooks] memory system, and by [run_stepwise] on a
@@ -43,7 +46,7 @@ let cache_cfgs =
     { Cache.size_bytes = 128; line_bytes = 8; assoc = 4; policy = Cache.Write_through };
   ]
 
-(* Every drain in these laws uses the same uncached window: byte
+(* Every data port in these laws has the same uncached window: byte
    addresses 96..127 (words 24..31), inside the traced address range. *)
 let uncached_lo = 96
 let uncached_hi = 128
@@ -56,17 +59,18 @@ let uncached a = a >= uncached_lo && a < uncached_hi
 let fetch_shapes = [| (0, 3); (40, 6); (128, 20); (300, 2); (64, 33) |]
 
 type cache_op =
-  | Run of int * bool * int  (** same-address drain: addr, write, k *)
+  | Run of int * bool * int  (** same-address accesses: addr, write, k *)
   | Seq of int * int  (** sequential word reads: addr, n *)
   | Fetch of int  (** a [fetch_shapes] read run *)
-  | Drain of (int * bool) list  (** one drain of mixed accesses *)
+  | Drain of (int * bool) list  (** a block's mixed data accesses *)
   | Flush
 
 let op_gen =
   QCheck.Gen.(
     let addr = map (fun a -> a * 4) (int_range 0 127) in
-    (* Accesses clustered around a base, so drains hold same-line runs
-       broken by kind changes, line changes and the uncached window. *)
+    (* Accesses clustered around a base, so a block's accesses hold
+       same-line runs broken by kind changes, line changes and the
+       uncached window. *)
     let drain =
       let* base = int_range 0 120 in
       list_size (int_range 1 12)
@@ -100,12 +104,13 @@ let cache_trace =
         (int_range 0 (List.length cache_cfgs - 1))
         (list_size (int_range 1 120) op_gen))
 
-(* Replay one bulk op as individual event-API accesses on the twin,
-   returning the aggregate the bulk API must report. A missing event
+(* Replay one op as individual event-API accesses on the twin,
+   returning its share of the traffic the production paths must leave in
+   [Cache.traffic], plus the stall cycles of its events. A missing event
    contributes all of its word traffic (fill + writeback + through) to
-   the miss-stall words; that is exactly [run_miss_words]'s contract.
-   Fetches are never uncached; drained accesses in the window are only
-   counted. *)
+   the miss-stall words; that is exactly [miss_words]'s contract.
+   Fetches are never uncached; data accesses in the window are only
+   counted, one single-word transaction each. *)
 let replay_singles c ~fetch ops =
   let misses = ref 0
   and fills = ref 0
@@ -113,62 +118,89 @@ let replay_singles c ~fetch ops =
   and through = ref 0
   and miss_words = ref 0
   and ur = ref 0
-  and uw = ref 0 in
+  and uw = ref 0
+  and stalls = ref 0 in
   List.iter
     (fun (addr, write) ->
-      if (not fetch) && uncached addr then incr (if write then uw else ur)
+      if (not fetch) && uncached addr then begin
+        incr (if write then uw else ur);
+        stalls := !stalls + Memory.miss_penalty_cycles ~words:1
+      end
       else begin
         let e = if write then Cache.write c addr else Cache.read c addr in
         fills := !fills + e.Cache.fill_words;
         wbs := !wbs + e.Cache.writeback_words;
         through := !through + e.Cache.through_words;
         if not e.Cache.hit then begin
+          let moved =
+            e.Cache.fill_words + e.Cache.writeback_words + e.Cache.through_words
+          in
           incr misses;
-          miss_words :=
-            !miss_words + e.Cache.fill_words + e.Cache.writeback_words
-            + e.Cache.through_words
+          miss_words := !miss_words + moved;
+          stalls := !stalls + Memory.miss_penalty_cycles ~words:moved
         end
       end)
     ops;
-  (!misses, !fills, !wbs, !through, !miss_words, !ur, !uw)
+  [| !misses; !fills; !wbs; !through; !miss_words; !ur; !uw; !stalls |]
 
 let seq a n = List.init n (fun i -> (a + (4 * i), false))
 
-let run_aggregate (re : Cache.run_event) =
-  ( re.Cache.run_misses,
-    re.Cache.run_fill_words,
-    re.Cache.run_writeback_words,
-    re.Cache.run_through_words,
-    re.Cache.run_miss_words,
-    re.Cache.run_uncached_reads,
-    re.Cache.run_uncached_writes )
-
-let drain c l =
-  let buf = Array.of_list (List.map (fun (a, w) -> if w then a lor 1 else a) l) in
-  run_aggregate
-    (Cache.drain c ~uncached_lo ~uncached_hi buf (Array.length buf))
+(* The production side's cumulative traffic and the stalls the system
+   simulator derives from it. *)
+let traffic c =
+  let t = Cache.traffic c in
+  Cache.
+    [|
+      t.misses;
+      t.fill_words;
+      t.evict_words;
+      t.through_words;
+      t.miss_words;
+      t.uncached_reads;
+      t.uncached_writes;
+      Memory.miss_penalty_run ~misses:t.misses ~words:t.miss_words
+      + ((t.uncached_reads + t.uncached_writes)
+        * Memory.miss_penalty_cycles ~words:1);
+    |]
 
 let prop_bulk_equals_singles =
   QCheck.Test.make ~name:"bulk run APIs aggregate the event API exactly"
     ~count:300 cache_trace (fun (ci, ops) ->
       let cfg = List.nth cache_cfgs ci in
       let bulk = Cache.create cfg and twin = Cache.create cfg in
+      let read, write = Cache.data_port bulk ~uncached_lo ~uncached_hi in
+      (* Per fetch shape, the epoch its last fetch returned, as a
+         decoded block keeps it. *)
+      let stamps = Array.make (Array.length fetch_shapes) (-1) in
+      let sum = Array.make 8 0 in
+      let access l =
+        List.iter (fun (a, w) -> if w then write a else read a) l;
+        replay_singles twin ~fetch:false l
+      in
+      let settled delta =
+        Array.iteri (fun i d -> sum.(i) <- sum.(i) + d) delta;
+        traffic bulk = sum
+      in
       let ok =
         List.for_all
           (fun op ->
             match op with
-            | Run (a, w, k) ->
-                drain bulk (List.init k (fun _ -> (a, w)))
-                = replay_singles twin ~fetch:false (List.init k (fun _ -> (a, w)))
-            | Drain l -> drain bulk l = replay_singles twin ~fetch:false l
+            | Run (a, w, k) -> settled (access (List.init k (fun _ -> (a, w))))
+            | Drain l -> settled (access l)
             | Seq (a, n) ->
-                run_aggregate (Cache.read_run bulk a n)
-                = replay_singles twin ~fetch:true (seq a n)
+                ignore (Cache.fetch bulk a n);
+                Cache.count_reads bulk n;
+                settled (replay_singles twin ~fetch:true (seq a n))
             | Fetch i ->
                 let a, n = fetch_shapes.(i) in
-                run_aggregate (Cache.read_run bulk a n)
-                = replay_singles twin ~fetch:true (seq a n)
-            | Flush -> Cache.flush bulk = Cache.flush twin)
+                if stamps.(i) <> !(Cache.epoch bulk) then
+                  stamps.(i) <- Cache.fetch bulk a n;
+                Cache.count_reads bulk n;
+                settled (replay_singles twin ~fetch:true (seq a n))
+            | Flush ->
+                (* A flush's words are the acall's to charge: they stay
+                   out of [traffic]. *)
+                Cache.flush bulk = Cache.flush twin && traffic bulk = sum)
           ops
       in
       (* Same stats (including identical energy products) and the same
@@ -290,9 +322,9 @@ let diff_case =
       return (prog, ci, di, mbox, flush))
 
 (* Deterministic stand-in for an ASIC task: touches memory, output and
-   the asic-cycle counter, so a divergence in Acall plumbing (D-buffer
-   drained after instead of before the call, say) shows up in the
-   comparison. With [flush], every third call also flushes both caches,
+   the asic-cycle counter, so a divergence in Acall plumbing (a data
+   access settled after instead of before the call, say) shows up in
+   the comparison. With [flush], every third call also flushes both caches,
    as a coherence handover would. The two calls before it let the
    blocks around the acall be fetched without a miss, so the fetch
    right after the flush is one the residency epoch has recorded and
@@ -350,13 +382,22 @@ type snapshot = {
   istats : Cache.stats;
   dstats : Cache.stats;
   mtotals : Memory.totals;
+  error : string option;  (** the [Runtime_error] that ended the run *)
 }
 
 type engine = Block | Stepwise | Per_access
 
-let exec_with ?(flush = false) prog ~icfg ~dcfg ~mailbox engine =
-  let icache = Cache.create icfg and dcache = Cache.create dcfg in
-  let mem = Memory.create () in
+let exec_with ?(flush = false) ?fuel ?(platform = Lp_tech.Platform.sparclite)
+    prog ~icfg ~dcfg ~mailbox engine =
+  let energy_scale = Lp_iss.Energy_model.core_energy_scale platform in
+  let icache = Cache.create ~energy_scale icfg
+  and dcache = Cache.create ~energy_scale dcfg in
+  let mem =
+    Lp_tech.Platform.(
+      Memory.create ~first_word_latency:platform.mem_first_word_latency
+        ~access_energy_j:platform.mem_access_energy_j
+        ~standby_power_w:platform.mem_standby_power_w ())
+  in
   let mailbox_lo, mailbox_hi = if mailbox then (8, 12) else (0, 0) in
   let acall = test_acall ~flush ~icache ~dcache in
   let hooks =
@@ -367,14 +408,23 @@ let exec_with ?(flush = false) prog ~icfg ~dcfg ~mailbox engine =
     | Per_access ->
         per_access_hooks ~icache ~dcache ~mem ~mailbox_lo ~mailbox_hi ~acall
   in
-  let m = Iss.create prog hooks in
-  (match engine with Block -> Iss.run m | Stepwise | Per_access -> Iss.run_stepwise m);
+  let m = Iss.create ?fuel prog hooks in
+  let error =
+    match
+      match engine with
+      | Block -> Iss.run m
+      | Stepwise | Per_access -> Iss.run_stepwise m
+    with
+    | () -> None
+    | exception Iss.Runtime_error e -> Some e
+  in
   {
     res = Iss.result m;
     mem_img = List.init (Iss.mem_size m) (Iss.read_mem m);
     istats = Cache.stats icache;
     dstats = Cache.stats dcache;
     mtotals = Memory.totals mem;
+    error;
   }
 
 (* Every field is integer-derived (energies are products of the same
@@ -395,14 +445,116 @@ let prop_block_equals_stepwise =
       engines_agree ~flush prog ~icfg:(List.nth cache_cfgs ci)
         ~dcfg:(List.nth cache_cfgs di) ~mailbox)
 
-(* Two fixed programs that the residency epoch and the one-call drain
-   must get right, under every pair of cache geometries (direct-mapped
+(* The same law under what the block engine defers: its entry counts
+   are folded in only when the counters are read, the memory system
+   charges traffic and stalls only at halt, and the I-fetch is skipped
+   under the residency epoch. Each case draws
+   - the cache geometries and memory of one of the four platform
+     presets, or two random valid geometries (1- to 4-way, write-back
+     or write-through, 4- to 32-byte lines);
+   - the mailbox window, and the acall that flushes both caches while
+     block entries are still unfolded;
+   - a fuel that runs out inside the program (and so, for the block
+     engine, in its per-instruction tail), where the run stops with no
+     halt: there the two production engines must agree with each other
+     on everything, memory left uncharged and I-reads unsettled.
+   Every integer counter must be equal, every energy within 1e-9
+   relative. *)
+let geometry_gen =
+  QCheck.Gen.(
+    let* line_bytes = map (fun k -> 4 lsl k) (int_range 0 3) in
+    let* assoc = map (fun k -> 1 lsl k) (int_range 0 2) in
+    let* sets = map (fun k -> 1 lsl k) (int_range 0 4) in
+    let* wt = bool in
+    return
+      {
+        Cache.size_bytes = line_bytes * assoc * sets;
+        line_bytes;
+        assoc;
+        policy = (if wt then Cache.Write_through else Cache.Write_back);
+      })
+
+type setup = Preset of Lp_tech.Platform.t | Geoms of Cache.config * Cache.config
+
+let setup_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, map (fun p -> Preset p) (oneofl Lp_tech.Platform.presets));
+        (3, map2 (fun i d -> Geoms (i, d)) geometry_gen geometry_gen);
+      ])
+
+let setup_str = function
+  | Preset p -> "preset " ^ p.Lp_tech.Platform.name
+  | Geoms (i, d) -> Format.asprintf "geoms %a / %a" Cache.pp_config i Cache.pp_config d
+
+let deferred_case =
+  QCheck.make
+    ~print:(fun (prog, setup, mbox, flush, cut) ->
+      Printf.sprintf "%s mailbox=%b flush=%b cut=%d  %s" (setup_str setup) mbox
+        flush cut (items_str (items_of prog)))
+    QCheck.Gen.(
+      let* prog = prog_gen in
+      let* setup = setup_gen in
+      let* mbox = bool in
+      let* flush = bool in
+      let* cut = int_range 0 1000 in
+      return (prog, setup, mbox, flush, cut))
+
+let close a b =
+  a = b || Float.abs (a -. b) <= 1e-9 *. Float.max (Float.abs a) (Float.abs b)
+
+let stats_agree (a : Cache.stats) (b : Cache.stats) =
+  { a with Cache.energy_j = 0.0 } = { b with Cache.energy_j = 0.0 }
+  && close a.Cache.energy_j b.Cache.energy_j
+
+let snapshots_agree a b =
+  { a.res with Iss.up_energy_j = 0.0 } = { b.res with Iss.up_energy_j = 0.0 }
+  && close a.res.Iss.up_energy_j b.res.Iss.up_energy_j
+  && a.mem_img = b.mem_img && a.error = b.error
+  && stats_agree a.istats b.istats
+  && stats_agree a.dstats b.dstats
+  && { a.mtotals with Memory.mem_access_energy_j = 0.0; bus_energy_j = 0.0 }
+     = { b.mtotals with Memory.mem_access_energy_j = 0.0; bus_energy_j = 0.0 }
+  && close a.mtotals.Memory.mem_access_energy_j b.mtotals.Memory.mem_access_energy_j
+  && close a.mtotals.Memory.bus_energy_j b.mtotals.Memory.bus_energy_j
+
+let prop_deferred_accounting =
+  QCheck.Test.make
+    ~name:"block == stepwise: presets, random geometries, fuel cuts"
+    ~count:300 deferred_case (fun (p, setup, mailbox, flush, cut) ->
+      let prog =
+        Asm.assemble ~entry:"start" ~data_words ~symbols:[] (items_of p)
+      in
+      let platform, icfg, dcfg =
+        match setup with
+        | Preset pl ->
+            ( pl,
+              Cache.config_of_geom pl.Lp_tech.Platform.icache,
+              Cache.config_of_geom pl.Lp_tech.Platform.dcache )
+        | Geoms (i, d) -> (Lp_tech.Platform.sparclite, i, d)
+      in
+      let exec ?fuel engine =
+        exec_with ~flush ?fuel ~platform prog ~icfg ~dcfg ~mailbox engine
+      in
+      let full = exec Block in
+      let n = full.res.Iss.instr_count in
+      snapshots_agree full (exec Stepwise)
+      && snapshots_agree full (exec Per_access)
+      &&
+      (* A fuel short of the program's length. *)
+      let fuel = 1 + (cut mod max 1 (n - 1)) in
+      let a = exec ~fuel Block in
+      a.error <> None && snapshots_agree a (exec ~fuel Stepwise))
+
+(* Two fixed programs that the residency epoch and the direct data
+   accesses must get right, under every pair of cache geometries (direct-mapped
    and 2-/4-way I-caches, write-back and write-through D-caches), with
    and without the mailbox window:
    - one 42-instruction loop block, longer than the 64- and 128-byte
      caches, so each entry evicts its own first lines;
    - a loop block that ends in an acall flushing both caches between
-     two of its entries, and whose drain mixes mailbox words (words
+     two of its entries, and whose accesses mix mailbox words (words
      8..11) with cached accesses on one line. *)
 let long_block =
   [ Asm.Label "start"; Asm.Instr (Isa.Li (7, 4)); Asm.Label "loop" ]
@@ -445,6 +597,47 @@ let test_fixed_programs () =
         cache_cfgs)
     [ ("long block", long_block, false); ("flushed block", flushed_block, true) ]
 
+(* A block whose stores and loads are followed, inside the same block,
+   by a division by zero. Block mode has charged the whole block's
+   instructions and fetch at entry, but its data accesses are settled
+   one by one: the D-cache must have seen exactly the accesses the
+   per-instruction engine made before the fault, under every geometry. *)
+let faulting_block =
+  [ Asm.Label "start"; Asm.Instr (Isa.Li (7, 3)); Asm.Label "loop" ]
+  @ List.map
+      (fun x -> Asm.Instr x)
+      Isa.
+        [
+          St (7, 0, 2);
+          Ld (1, 0, 9);
+          St (1, 0, 5);
+          Addi (7, 7, -1);
+          Div (2, 1, 7);
+          Ld (3, 0, 12);
+        ]
+  @ [ Asm.Bnez_l (7, "loop"); Asm.Instr Isa.Halt ]
+
+let test_fault_mid_block () =
+  let prog = Asm.assemble ~entry:"start" ~data_words ~symbols:[] faulting_block in
+  List.iter
+    (fun icfg ->
+      List.iter
+        (fun dcfg ->
+          List.iter
+            (fun mailbox ->
+              let a = exec_with prog ~icfg ~dcfg ~mailbox Block
+              and b = exec_with prog ~icfg ~dcfg ~mailbox Stepwise in
+              if a.error = None then Alcotest.fail "the program must fault";
+              if
+                a.error <> b.error || a.dstats <> b.dstats
+                || a.mem_img <> b.mem_img
+              then
+                Alcotest.failf "%a / %a mailbox=%b: data side differs at the fault"
+                  Cache.pp_config icfg Cache.pp_config dcfg mailbox)
+            [ false; true ])
+        cache_cfgs)
+    cache_cfgs
+
 (* --- memo fingerprint pins ------------------------------------------ *)
 
 (* The initial-report cache key digests the program and the
@@ -473,7 +666,9 @@ let () =
       ( "differential",
         Alcotest.test_case "fixed programs, every geometry" `Quick
           test_fixed_programs
-        :: qcheck [ prop_block_equals_stepwise ] );
+        :: Alcotest.test_case "fault mid-block, every geometry" `Quick
+             test_fault_mid_block
+        :: qcheck [ prop_block_equals_stepwise; prop_deferred_accounting ] );
       ( "fingerprints",
         [ Alcotest.test_case "memo pins" `Quick test_fingerprint_pins ] );
     ]

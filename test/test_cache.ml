@@ -147,10 +147,10 @@ let test_energy_model_monotone () =
   Alcotest.(check bool) "write >= read" true
     (Cache.write_energy_j dm_config > Cache.read_energy_j dm_config)
 
-(* --- bulk paths against the event API --- *)
+(* --- the co-simulation's paths against the event API --- *)
 
-(* A twin cache driven one access at a time: the aggregate a bulk call
-   must report, as (misses, fills, writebacks, through words, miss
+(* A twin cache driven one access at a time: the traffic the production
+   paths must report, as (misses, fills, evictions, through words, miss
    words, uncached reads, uncached writes). *)
 let singles c ?(uncached = fun _ -> false) accesses =
   List.fold_left
@@ -172,110 +172,148 @@ let singles c ?(uncached = fun _ -> false) accesses =
           uw ))
     (0, 0, 0, 0, 0, 0, 0) accesses
 
-let aggregate (r : Cache.run_event) =
-  ( r.Cache.run_misses,
-    r.Cache.run_fill_words,
-    r.Cache.run_writeback_words,
-    r.Cache.run_through_words,
-    r.Cache.run_miss_words,
-    r.Cache.run_uncached_reads,
-    r.Cache.run_uncached_writes )
+(* [Cache.traffic] is cumulative: the twin's per-access sums are kept
+   beside it. *)
+type twins = {
+  c : Cache.t;
+  twin : Cache.t;
+  mutable sum : int * int * int * int * int * int * int;
+}
 
-let fetch c twin a n =
+let twins cfg = { c = Cache.create cfg; twin = Cache.create cfg; sum = (0, 0, 0, 0, 0, 0, 0) }
+
+let traffic c =
+  let t = Cache.traffic c in
+  Cache.
+    ( t.misses,
+      t.fill_words,
+      t.evict_words,
+      t.through_words,
+      t.miss_words,
+      t.uncached_reads,
+      t.uncached_writes )
+
+let settle_twin p ?uncached accesses =
+  let m, f, wb, th, mw, ur, uw = p.sum
+  and m', f', wb', th', mw', ur', uw' = singles p.twin ?uncached accesses in
+  p.sum <- (m + m', f + f', wb + wb', th + th', mw + mw', ur + ur', uw + uw')
+
+(* One fetch and its reads on the production path, every word read on
+   the twin; returns the fetch's epoch stamp. *)
+let fetch p a n =
+  let stamp = Cache.fetch p.c a n in
+  Cache.count_reads p.c n;
+  settle_twin p (List.init n (fun i -> (a + (4 * i), false)));
   Alcotest.(check bool)
-    (Printf.sprintf "fetch %d+%d aggregate" a n)
+    (Printf.sprintf "traffic after fetch %d+%d" a n)
     true
-    (aggregate (Cache.read_run c a n)
-    = singles twin (List.init n (fun i -> (a + (4 * i), false))))
+    (traffic p.c = p.sum);
+  stamp
 
-let same_state c twin =
-  Alcotest.(check bool) "same stats" true (Cache.stats c = Cache.stats twin);
-  Alcotest.(check int) "same dirty lines" (Cache.flush twin) (Cache.flush c)
+let same_state p =
+  Alcotest.(check bool) "same stats" true (Cache.stats p.c = Cache.stats p.twin);
+  Alcotest.(check int) "same dirty lines" (Cache.flush p.twin) (Cache.flush p.c)
 
-(* A repeated fetch on a direct-mapped cache probes nothing once it has
-   completed without a miss; a fill anywhere in the cache, or a flush,
-   makes the next one probe again. *)
+(* A block entry as the ISS makes it: the fetch is skipped while the
+   block's stamp equals the epoch, and the reads are counted either
+   way; the twin reads every word of every entry. A direct-mapped fetch
+   that hit in full returns the epoch; a fill anywhere in the cache, or
+   a flush, moves it, so the next entry fetches (and probes) again. *)
 let test_fetch_epoch () =
-  let c = Cache.create dm_config and twin = Cache.create dm_config in
+  let p = twins dm_config in
+  let c = p.c in
   let probes label n = Alcotest.(check int) label n (Cache.fetch_probes c) in
-  fetch c twin 0 6;
+  let entry stamp a n =
+    if !stamp <> !(Cache.epoch c) then stamp := fetch p a n
+    else begin
+      Cache.count_reads c n;
+      settle_twin p (List.init n (fun i -> (a + (4 * i), false)))
+    end
+  in
+  let b0 = ref (-1) and b1 = ref (-1) in
+  entry b0 0 6;
   probes "a cold fetch probes its two lines" 2;
-  fetch c twin 0 6;
-  probes "one that missed was not recorded" 4;
-  fetch c twin 0 6;
-  fetch c twin 0 6;
-  probes "a recorded fetch probes nothing" 4;
-  fetch c twin 64 3;
-  fetch c twin 0 6;
+  Alcotest.(check int) "one that missed returns -1" (-1) !b0;
+  entry b0 0 6;
+  probes "so it is fetched again" 4;
+  Alcotest.(check int) "one that hit returns the epoch" !(Cache.epoch c) !b0;
+  entry b0 0 6;
+  entry b0 0 6;
+  probes "a fetch under its epoch is skipped" 4;
+  entry b1 64 3;
+  entry b0 0 6;
   probes "another block's fill moved the epoch" 7;
-  fetch c twin 0 6;
-  probes "recorded again" 7;
+  entry b0 0 6;
+  probes "skipped again" 7;
   ignore (Cache.flush c);
-  ignore (Cache.flush twin);
-  fetch c twin 0 6;
+  ignore (Cache.flush p.twin);
+  entry b0 0 6;
   probes "a flush moved the epoch" 9;
   Alcotest.(check int) "the refetch after the flush missed" 5
     (Cache.stats c).Cache.read_misses;
-  same_state c twin
+  Alcotest.(check bool) "traffic" true (traffic c = p.sum);
+  same_state p
 
 (* 80 words (320 bytes) through a 256-byte direct-mapped cache: the
    block's last four lines evict its first four, so every entry misses
-   eight lines and the fetch is never recorded. *)
+   eight lines and the fetch never returns an epoch. *)
 let test_fetch_longer_than_cache () =
-  let c = Cache.create dm_config and twin = Cache.create dm_config in
+  let p = twins dm_config in
   for _ = 1 to 3 do
-    fetch c twin 0 80
+    Alcotest.(check int) "no epoch" (-1) (fetch p 0 80)
   done;
   Alcotest.(check int) "20 cold misses, then 8 per entry" (20 + 8 + 8)
-    (Cache.stats c).Cache.read_misses;
+    (Cache.stats p.c).Cache.read_misses;
   Alcotest.(check int) "every entry probes its 20 lines" 60
-    (Cache.fetch_probes c);
-  same_state c twin
+    (Cache.fetch_probes p.c);
+  same_state p
 
-(* On a 2-way cache a refetch must still stamp its line: A, B, A, B, A
-   leaves A most recent, so C evicts B and A still hits. *)
+(* On a 2-way cache a fetch must stamp its line: A, B, A, B, A leaves
+   A most recent, so C evicts B and A still hits. No 2-way fetch
+   returns an epoch, so none is ever skipped. *)
 let test_fetch_two_way_lru () =
   let cfg = { w2_config with Cache.size_bytes = 64; line_bytes = 8 } in
-  let c = Cache.create cfg and twin = Cache.create cfg in
-  List.iter (fun a -> fetch c twin a 2) [ 0; 32; 0; 32; 0; 64; 0 ];
+  let p = twins cfg in
+  List.iter
+    (fun a -> Alcotest.(check int) "2-way: no epoch" (-1) (fetch p a 2))
+    [ 0; 32; 0; 32; 0; 64; 0 ];
   Alcotest.(check int) "A, B and C miss once each" 3
-    (Cache.stats c).Cache.read_misses;
-  same_state c twin
+    (Cache.stats p.c).Cache.read_misses;
+  same_state p
 
-(* One drain on a write-through cache: write misses allocate nothing
+(* Write-through through the data port: write misses allocate nothing
    and write every word through; a read fills; later writes hit and
    still go through. *)
-let test_drain_write_through () =
-  let c = Cache.create wt_config and twin = Cache.create wt_config in
+let test_port_write_through () =
+  let p = twins wt_config in
+  let read, write = Cache.data_port p.c ~uncached_lo:0 ~uncached_hi:0 in
   let accesses =
     [ (0, true); (4, true); (0, false); (8, false); (0, true); (12, true); (64, true) ]
   in
-  let buf = Array.of_list (List.map (fun (a, w) -> if w then a lor 1 else a) accesses) in
-  Alcotest.(check bool) "aggregate" true
-    (aggregate (Cache.drain c ~uncached_lo:0 ~uncached_hi:0 buf (Array.length buf))
-    = singles twin accesses);
-  same_state c twin
+  List.iter (fun (a, w) -> if w then write a else read a) accesses;
+  settle_twin p accesses;
+  Alcotest.(check bool) "traffic" true (traffic p.c = p.sum);
+  same_state p
 
-(* Mailbox words [96, 112) inside one drain with cached runs on the
-   same and the neighbouring lines: only the cached accesses reach the
-   cache, the others come back as uncached words. *)
-let test_drain_uncached_window () =
-  let c = Cache.create w2_config and twin = Cache.create w2_config in
+(* Mailbox words [96, 112) between cached accesses on the same and the
+   neighbouring lines: only the cached accesses reach the cache, the
+   others are counted as uncached words. *)
+let test_port_uncached_window () =
+  let p = twins w2_config in
   let uncached a = a >= 96 && a < 112 in
+  let read, write = Cache.data_port p.c ~uncached_lo:96 ~uncached_hi:112 in
   let accesses =
     [
       (92, false); (96, false); (100, true); (104, false); (108, true);
       (112, false); (116, false); (96, true); (88, true); (92, true); (112, true);
     ]
   in
-  let buf = Array.of_list (List.map (fun (a, w) -> if w then a lor 1 else a) accesses) in
-  let got =
-    aggregate (Cache.drain c ~uncached_lo:96 ~uncached_hi:112 buf (Array.length buf))
-  in
-  Alcotest.(check bool) "aggregate" true (got = singles twin ~uncached accesses);
-  let s = Cache.stats c in
+  List.iter (fun (a, w) -> if w then write a else read a) accesses;
+  settle_twin p ~uncached accesses;
+  Alcotest.(check bool) "traffic" true (traffic p.c = p.sum);
+  let s = Cache.stats p.c in
   Alcotest.(check int) "cached accesses only" 6 (s.Cache.reads + s.Cache.writes);
-  same_state c twin
+  same_state p
 
 (* --- properties --- *)
 
@@ -338,9 +376,10 @@ let () =
           Alcotest.test_case "fetch longer than the cache" `Quick
             test_fetch_longer_than_cache;
           Alcotest.test_case "2-way refetch keeps LRU" `Quick test_fetch_two_way_lru;
-          Alcotest.test_case "drain, write-through" `Quick test_drain_write_through;
-          Alcotest.test_case "drain, uncached window" `Quick
-            test_drain_uncached_window;
+          Alcotest.test_case "data port, write-through" `Quick
+            test_port_write_through;
+          Alcotest.test_case "data port, uncached window" `Quick
+            test_port_uncached_window;
         ] );
       ( "energy",
         [

@@ -372,6 +372,44 @@ let test_pool_threshold_option () =
   in
   Alcotest.(check bool) "threshold is performance-only" true (run 1 = run 1000)
 
+(* The default options' largest fan-out stays in one domain: a flow of
+   [gen:paper:1], whose 8 preselected clusters give exactly 8 × 4 = 32
+   (cluster × resource set) pairs, spawns no worker domain at
+   [jobs = 2]. One pair more than the threshold does. *)
+let test_default_fanout_one_domain () =
+  let program =
+    match Lp_gen.Gen.parse_name "gen:paper:1" with
+    | Ok (spec, seed) -> Lp_gen.Gen.generate spec ~seed
+    | Error e -> failwith e
+  in
+  let counters pool_threshold =
+    let sink, events = Lp_trace.memory_sink () in
+    Lp_trace.set_sink (Some sink);
+    Fun.protect
+      ~finally:(fun () -> Lp_trace.set_sink None)
+      (fun () ->
+        ignore
+          (Flow.run
+             ~options:{ Flow.default_options with Flow.jobs = 2; pool_threshold }
+             ~name:"gen:paper:1" program));
+    let value name =
+      match
+        List.find_opt
+          (fun (e : Lp_trace.event) ->
+            e.Lp_trace.ph = Lp_trace.Counter && e.Lp_trace.name = name)
+          (events ())
+      with
+      | Some e -> e.Lp_trace.value
+      | None -> Alcotest.failf "no %s counter" name
+    in
+    (value "flow.candidates.pairs", value "flow.candidates.pool_domains")
+  in
+  Alcotest.(check (pair int int))
+    "32 pairs, no domain" (32, 0) (counters Flow.pool_threshold);
+  Alcotest.(check (pair int int))
+    "over the threshold, one domain" (32, 1)
+    (counters (Flow.pool_threshold - 1))
+
 (* --- the platform axis -------------------------------------------- *)
 
 (* Valid sparclite variants: every combination respects the frequency
@@ -574,6 +612,8 @@ let () =
       ( "options",
         [
           Alcotest.test_case "pool_threshold" `Quick test_pool_threshold_option;
+          Alcotest.test_case "default fan-out in one domain" `Quick
+            test_default_fanout_one_domain;
           Alcotest.test_case "strategy names" `Quick test_strategy_of_string;
         ] );
       ( "platform",
